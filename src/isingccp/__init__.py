@@ -31,11 +31,10 @@ from .algebra import (
     localization,
     mono_mul,
     normalized_trace,
-    op_adjoint,
-    op_mul,
     product_trace,
     support_interval,
     to_matrix,
+    window_monomials,
 )
 from .causal import (
     CcsReport,
@@ -55,7 +54,6 @@ from .dynamics import (
     apply_beta,
     beta_generator_image,
     check_primitive_causality,
-    localize_at,
 )
 from .errors import (
     BudgetError,
@@ -89,15 +87,15 @@ __all__ = [
     "__version__",
     # algebra
     "DEFAULT_TOL", "GeneratorMonomial", "Operator", "commutes", "is_projection",
-    "localization", "mono_mul", "normalized_trace", "op_adjoint", "op_mul",
-    "product_trace", "support_interval", "to_matrix",
+    "localization", "mono_mul", "normalized_trace", "product_trace",
+    "support_interval", "to_matrix", "window_monomials",
     # causal analysis
     "CcsReport", "EnumerationResult", "ProbabilitySpace", "classical_ccs_check",
     "common_cause_candidate", "commuting_ccs_residuals", "enumerate_commuting_tuples",
     "exact_wccp_decision", "noncommuting_ccs_residuals", "screening_weight",
     # dynamics
     "DynamicsParams", "alpha_shift", "apply_beta", "beta_generator_image",
-    "check_primitive_causality", "localize_at",
+    "check_primitive_causality",
     # errors
     "BudgetError", "ExactnessError", "ModeError", "PreconditionError", "SchemaError",
     # exact scalars

@@ -21,13 +21,20 @@ A dense matrix oracle maps a window of the chain onto qubits via
 
 which realises the generator relations exactly; the representation is
 checked against them once, on first use.
+
+Internally a monomial is an ``int`` bitmask with bit ``d + 64`` set for each
+doubled site ``d`` present, the symplectic Pauli-frame encoding of Aaronson
+and Gottesman (quant-ph/0406196) applied to this chain.  One rule then
+serves the products, the adjoints and traces, and the qubit oracle.  Sites
+must lie at or above -32 (doubled -64); lower sites raise
+:class:`~isingccp.errors.PreconditionError`.  There is no upper limit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -40,8 +47,6 @@ __all__ = [
     "GeneratorMonomial",
     "Operator",
     "mono_mul",
-    "op_mul",
-    "op_adjoint",
     "normalized_trace",
     "product_trace",
     "commutes",
@@ -49,6 +54,7 @@ __all__ = [
     "support_interval",
     "localization",
     "to_matrix",
+    "window_monomials",
     "DEFAULT_TOL",
 ]
 
@@ -58,31 +64,64 @@ _PHASE_TOKENS = {"+1": 0, "1": 0, "+i": 1, "i": 1, "-1": 2, "-i": 3}
 _PHASE_VALUES = {0: 1, 1: 1j, 2: -1, 3: -1j}
 
 
-def _merge_sites(a: tuple, b: tuple) -> tuple[tuple, int]:
-    """Multiply two ascending site words; return (sites, sign).
+# Bit of doubled site 0.  Even, so a bit's parity is its site's parity.
+_ORIGIN = 64
 
-    Signs arise only from transposing generators at half-integer distance
-    (doubled distance 1); coincident sites cancel pairwise.
+
+def _bit(d: int) -> int:
+    """Key of the generator at doubled site d."""
+    if d < -_ORIGIN:
+        raise PreconditionError(
+            f"site {double_str(d)} lies below the lowest encodable site {double_str(-_ORIGIN)}"
+        )
+    return 1 << (d + _ORIGIN)
+
+
+def _sites(key: int) -> tuple:
+    """The ascending doubled sites of a monomial key."""
+    out = []
+    while key:
+        low = key & -key
+        out.append(low.bit_length() - 1 - _ORIGIN)
+        key ^= low
+    return tuple(out)
+
+
+def _span(key: int) -> tuple[int, int]:
+    """The lowest and highest doubled site of a nonzero key."""
+    return (key & -key).bit_length() - 1 - _ORIGIN, key.bit_length() - 1 - _ORIGIN
+
+
+def _odd(s: int, t: int) -> int:
+    """1 if U_S U_T = -U_{S ^ T}, else 0.
+
+    Sorting the word U_S U_T moves each generator of T left past the larger
+    sites of S; only a neighbour at doubled distance 1 anticommutes, so the
+    sign counts the sites of T whose right neighbour lies in S.  With T = S
+    this is the sign of U_S U_S, which is also the sign of reversing U_S.
     """
-    sites = list(a)
-    sign = 1
-    for s in b:
-        pos = bisect_left(sites, s)
-        if pos < len(sites) and sites[pos] == s:
-            if pos + 1 < len(sites) and sites[pos + 1] == s + 1:
-                sign = -sign
-            sites.pop(pos)
-        else:
-            if pos < len(sites) and sites[pos] == s + 1:
-                sign = -sign
-            sites.insert(pos, s)
-    return tuple(sites), sign
+    return (s & (t << 1)).bit_count() & 1
 
 
-def _reversal_sign(sites: tuple) -> int:
-    """Sign of reversing an ascending word: one flip per adjacent pair."""
-    flips = sum(1 for p, q in zip(sites, sites[1:]) if q - p == 1)
-    return -1 if flips % 2 else 1
+def _reduce_word(word) -> tuple[int, int]:
+    """Key and sign parity of an ordered word of doubled sites."""
+    key = odd = 0
+    for d in word:
+        b = _bit(d)
+        odd ^= _odd(key, b)
+        key ^= b
+    return key, odd
+
+
+def _phase_index(phase) -> int:
+    if isinstance(phase, str):
+        if phase not in _PHASE_TOKENS:
+            raise PreconditionError(f"unknown phase token {phase!r}")
+        return _PHASE_TOKENS[phase]
+    p = {1: 0, 1j: 1, -1: 2, -1j: 3}.get(phase)
+    if p is None:
+        raise PreconditionError(f"phase must be a fourth root of unity, got {phase!r}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -108,34 +147,21 @@ class GeneratorMonomial:
         The word is reduced to canonical form, so repeated or descending
         sites pick up the signs the relations dictate.
         """
-        word = tuple(to_double(s) for s in sites)
-        if isinstance(phase, str):
-            if phase not in _PHASE_TOKENS:
-                raise PreconditionError(f"unknown phase token {phase!r}")
-            p = _PHASE_TOKENS[phase]
-        else:
-            p = {1: 0, 1j: 1, -1: 2, -1j: 3}.get(phase)
-            if p is None:
-                raise PreconditionError(f"phase must be a fourth root of unity, got {phase!r}")
-        canon, sign = _merge_sites((), word)
-        if sign < 0:
-            p += 2
-        return cls(canon, p)
+        key, odd = _reduce_word(to_double(s) for s in sites)
+        return cls(_sites(key), _phase_index(phase) + 2 * odd)
 
     @property
     def is_identity(self) -> bool:
         return not self.sites and self.phase == 0
 
     def __mul__(self, other: "GeneratorMonomial") -> "GeneratorMonomial":
-        sites, sign = _merge_sites(self.sites, other.sites)
-        phase = (self.phase + other.phase + (2 if sign < 0 else 0)) % 4
-        return GeneratorMonomial(sites, phase)
+        s, _ = _reduce_word(self.sites)
+        t, _ = _reduce_word(other.sites)
+        return GeneratorMonomial(_sites(s ^ t), self.phase + other.phase + 2 * _odd(s, t))
 
     def adjoint(self) -> "GeneratorMonomial":
-        phase = (-self.phase) % 4
-        if _reversal_sign(self.sites) < 0:
-            phase = (phase + 2) % 4
-        return GeneratorMonomial(self.sites, phase)
+        s, _ = _reduce_word(self.sites)
+        return GeneratorMonomial(self.sites, -self.phase + 2 * _odd(s, s))
 
     def phase_value(self) -> complex:
         return _PHASE_VALUES[self.phase]
@@ -186,15 +212,12 @@ def _phase_times(c, phase: int, exact: bool):
         return c
     if exact:
         return c * _EXACT_PHASES[phase]
-    return c * _PHASE_VALUES[phase]
+    # adding 0j turns the negative zeros a complex product can leave
+    # (-0.5 * -1 == 0.5-0j) into positive ones
+    return c * _PHASE_VALUES[phase] + 0j
 
 
-_EXACT_PHASES = {
-    0: ExactScalar(1),
-    1: ExactScalar(0, 1),
-    2: ExactScalar(-1),
-    3: ExactScalar(0, -1),
-}
+_EXACT_PHASES = {1: ExactScalar(0, 1), 2: ExactScalar(-1), 3: ExactScalar(0, -1)}
 
 
 def _hull(a, b):
@@ -212,7 +235,8 @@ class Operator:
     label: 0 marks a Cauchy-surface operator, a positive integer marks the
     image of a surface operator under that many causal time steps (``base``
     then records the doubled site interval of the surface preimage), and
-    None means no localization claim is carried.
+    None means no localization claim is carried.  Terms are keyed by the
+    private monomial bitmask; build operators with the constructors below.
     """
 
     __slots__ = ("_terms", "exact", "time", "base")
@@ -231,32 +255,37 @@ class Operator:
 
     @classmethod
     def identity(cls, exact=False) -> "Operator":
-        return cls({(): _coerce_coeff(1, exact)}, exact)
+        return cls({0: _coerce_coeff(1, exact)}, exact)
 
     @classmethod
     def generator(cls, site, exact=False) -> "Operator":
         """The generator U at a half-integer site."""
-        return cls({(to_double(site),): _coerce_coeff(1, exact)}, exact)
+        return cls({_bit(to_double(site)): _coerce_coeff(1, exact)}, exact)
 
     @classmethod
     def from_terms(cls, terms, exact=False) -> "Operator":
-        """Build from an iterable of (coefficient, sites, phase) triples."""
+        """Build from an iterable of (coefficient, sites, phase) triples.
+
+        The phase defaults to "+1".  Terms on the same monomial are summed;
+        a monomial's first coefficient is kept exactly as given.
+        """
         acc: dict = {}
         for coeff, sites, *rest in terms:
-            phase = rest[0] if rest else "+1"
-            mono = GeneratorMonomial.of(sites, phase)
-            c = _phase_times(_coerce_coeff(coeff, exact), mono.phase, exact)
-            acc[mono.sites] = acc.get(mono.sites, _zero(exact)) + c
+            phase = _phase_index(rest[0]) if rest else 0
+            key, odd = _reduce_word(to_double(s) for s in sites)
+            c = _phase_times(_coerce_coeff(coeff, exact), (phase + 2 * odd) % 4, exact)
+            acc[key] = acc[key] + c if key in acc else c
         return cls(acc, exact)
 
     # -- structure ----------------------------------------------------------
 
     def terms(self):
-        """Iterator over (sites, coefficient) pairs, sites ascending."""
-        return iter(sorted(self._terms.items()))
+        """Iterator over (sites, coefficient) pairs, ordered by the ascending
+        tuples of doubled sites."""
+        return iter(sorted((_sites(key), c) for key, c in self._terms.items()))
 
     def coefficient(self, sites):
-        key = tuple(sorted(to_double(s) for s in sites))
+        key, _ = _reduce_word(sorted(to_double(s) for s in sites))
         return self._terms.get(key, _zero(self.exact))
 
     @property
@@ -330,11 +359,11 @@ class Operator:
         zero = _zero(self.exact)
         for s1, c1 in self._terms.items():
             for s2, c2 in other._terms.items():
-                sites, sign = _merge_sites(s1, s2)
                 c = c1 * c2
-                if sign < 0:
+                if _odd(s1, s2):
                     c = -c
-                acc[sites] = acc.get(sites, zero) + c
+                key = s1 ^ s2
+                acc[key] = acc.get(key, zero) + c
         time, base = self._labels_with(other)
         return Operator(acc, self.exact, time, base)
 
@@ -342,7 +371,7 @@ class Operator:
         acc = {}
         for s, c in self._terms.items():
             cc = c.conjugate()
-            if _reversal_sign(s) < 0:
+            if _odd(s, s):
                 cc = -cc
             acc[s] = cc
         return Operator(acc, self.exact, self.time, self.base)
@@ -351,7 +380,7 @@ class Operator:
 
     def trace(self):
         """The normalized trace: the coefficient of the identity monomial."""
-        return self._terms.get((), _zero(self.exact))
+        return self._terms.get(0, _zero(self.exact))
 
     def sup_coefficient(self) -> float:
         """Largest coefficient magnitude (numeric, both modes)."""
@@ -392,7 +421,7 @@ class Operator:
         if not self._terms:
             return "0"
         parts = []
-        for s, c in sorted(self._terms.items()):
+        for s, c in self.terms():
             cs = str(c) if self.exact else format(complex(c), "g")
             word = " ".join(f"U({double_str(k)})" for k in s) if s else "1"
             parts.append(f"({cs})·{word}")
@@ -406,14 +435,6 @@ class Operator:
 # -- module-level operations ---------------------------------------------------
 
 
-def op_mul(x: Operator, y: Operator) -> Operator:
-    return x * y
-
-
-def op_adjoint(x: Operator) -> Operator:
-    return x.adjoint()
-
-
 def normalized_trace(x: Operator):
     return x.trace()
 
@@ -422,7 +443,7 @@ def product_trace(x: Operator, y: Operator):
     """Normalized trace of x*y without forming the product.
 
     Monomials are trace-orthogonal: tr(U_S U_T) vanishes unless S = T, and
-    U_S U_S is the identity times the reversal sign of S.
+    U_S U_S is the identity times a sign.
     """
     x._check_mode(y)
     total = _zero(x.exact)
@@ -431,7 +452,7 @@ def product_trace(x: Operator, y: Operator):
         cy = terms.get(s)
         if cy is not None:
             prod = cx * cy
-            total = total + (-prod if _reversal_sign(s) < 0 else prod)
+            total = total + (-prod if _odd(s, s) else prod)
     return total
 
 
@@ -453,10 +474,13 @@ def support_interval(x: Operator):
     """
     if x.is_zero:
         raise PreconditionError("the zero operator has no support")
-    sites = [s for term in x._terms for s in term]
-    if not sites:
+    mask = 0
+    for key in x._terms:
+        mask |= key
+    if not mask:
         return None
-    return (from_double(min(sites)), from_double(max(sites)))
+    lo, hi = _span(mask)
+    return (from_double(lo), from_double(hi))
 
 
 def localization(x: Operator) -> DoubleCone:
@@ -476,11 +500,18 @@ def localization(x: Operator) -> DoubleCone:
     return DoubleCone(0, to_double(span[0]), to_double(span[1]))
 
 
-# -- dense matrix oracle ---------------------------------------------------------
+def window_monomials(sites):
+    """Yield (word, sign) for each nonempty subset of the doubled ``sites``,
+    in :func:`itertools.combinations` order by size.  ``word`` holds the
+    half-integer sites, as :meth:`Operator.from_terms` takes them; the
+    monomial's adjoint is ``sign`` times the monomial."""
+    for size in range(1, len(sites) + 1):
+        for subset in combinations(sites, size):
+            key, _ = _reduce_word(subset)
+            yield [from_double(d) for d in subset], -1 if _odd(key, key) else 1
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
+
+# -- dense matrix oracle ---------------------------------------------------------
 
 _relations_checked = False
 
@@ -492,43 +523,28 @@ def _window_qubits(window) -> tuple[int, int]:
     return i2 // 2, (j2 + 1) // 2
 
 
-def _monomial_matrix(sites: tuple, q0: int, q1: int) -> np.ndarray:
-    """Dense matrix of one monomial.
+def _add_monomial(out: np.ndarray, key: int, coeff: complex, q1: int) -> None:
+    """Add coeff times the matrix of one monomial into ``out``, in O(dim).
 
-    Each per-qubit word of X and Z factors reduces to phase * X^a Z^b, so
-    the whole monomial is a signed permutation matrix assembled in O(dim):
-    column z maps to row z ^ xmask with sign (-1)^popcount(z & zmask).
+    Qubit q is bit q1 - q of a basis index.  The monomial is sign * X^xmask
+    Z^zmask, so column c goes to row c ^ xmask with sign
+    (-1)^popcount(c & zmask).  On qubit k the ascending word reads X Z X
+    (from sites k - 1/2, k, k + 1/2); moving the right X past the Z costs
+    one sign per pair (k, k + 1/2) present.
     """
-    factors = {}
-    for s in sites:
-        if s % 2 == 0:
-            k = s // 2
-            factors[k] = factors.get(k, _I2) @ _Z
+    xmask = zmask = 0
+    sign = 1.0
+    for d in _sites(key):
+        bit = 1 << (q1 - d // 2)
+        if d % 2:
+            xmask ^= bit | (bit >> 1)
+            if key >> (d - 1 + _ORIGIN) & 1:
+                sign = -sign
         else:
-            k = (s - 1) // 2
-            factors[k] = factors.get(k, _I2) @ _X
-            factors[k + 1] = factors.get(k + 1, _I2) @ _X
-    n = q1 - q0 + 1
-    dim = 1 << n
-    phase = 1.0 + 0j
-    xmask = 0
-    zmask = 0
-    for q, f in factors.items():
-        bit = 1 << (q1 - q)
-        if f[0, 1] == 0 and f[1, 0] == 0:
-            if f[0, 0] != f[1, 1]:
-                zmask |= bit
-            phase *= f[0, 0]
-        else:
-            xmask |= bit
-            if f[0, 1] != f[1, 0]:
-                zmask |= bit
-            phase *= f[1, 0]
-    cols = np.arange(dim)
-    signs = np.where(np.bitwise_count(cols & zmask) % 2, -1.0, 1.0)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[cols ^ xmask, cols] = phase * signs
-    return out
+            zmask |= bit
+    cols = np.arange(out.shape[0])
+    signs = np.where(np.bitwise_count(cols & zmask) % 2, -sign, sign)
+    out[cols ^ xmask, cols] += coeff * signs
 
 
 def _check_relations():
@@ -536,9 +552,11 @@ def _check_relations():
     global _relations_checked
     if _relations_checked:
         return
-    q0, q1 = 0, 2
-    sites = [0, 1, 2, 3, 4]  # doubled: 0, 1/2, 1, 3/2, 2
-    mats = {s: _monomial_matrix((s,), q0, q1) for s in sites}
+    sites = [0, 1, 2, 3, 4]  # doubled: 0, 1/2, 1, 3/2, 2 on qubits 0..2
+    mats = {}
+    for s in sites:
+        mats[s] = np.zeros((8, 8), dtype=complex)
+        _add_monomial(mats[s], _bit(s), 1.0, 2)
     for a in sites:
         for b in sites:
             sign = -1 if abs(a - b) == 1 else 1
@@ -560,11 +578,13 @@ def to_matrix(x: Operator, window) -> np.ndarray:
     q0, q1 = _window_qubits(window)
     dim = 2 ** (q1 - q0 + 1)
     out = np.zeros((dim, dim), dtype=complex)
-    for sites, coeff in x._terms.items():
-        if sites and (sites[0] < w_i2 or sites[-1] > w_j2):
-            raise PreconditionError(
-                f"support {double_str(sites[0])}..{double_str(sites[-1])} "
-                f"exceeds window {double_str(w_i2)}..{double_str(w_j2)}"
-            )
-        out += complex(coeff) * _monomial_matrix(sites, q0, q1)
+    for key, coeff in x._terms.items():
+        if key:
+            lo, hi = _span(key)
+            if lo < w_i2 or hi > w_j2:
+                raise PreconditionError(
+                    f"support {double_str(lo)}..{double_str(hi)} "
+                    f"exceeds window {double_str(w_i2)}..{double_str(w_j2)}"
+                )
+        _add_monomial(out, key, complex(coeff), q1)
     return out

@@ -241,12 +241,22 @@ def _cell_triviality(cell: Operator, state: LambdaState, tol: float) -> tuple:
     return tuple(lab for lab, x in events.items() if (cell * x - cell).is_close_to_zero(tol))
 
 
-def _sector_products(state: LambdaState, y: Operator):
-    return [state.evaluate(state.sectors[label] * y) for label in SECTORS]
-
-
-def _rew_residual(values):
-    return values[0] * values[1] - values[2] * values[3]
+def _ccs_report(mode: str, state: LambdaState, partition, tol: float, condition) -> CcsReport:
+    """Per-cell residuals w_AB w_A'B' - w_AB' w_A'B of the conditioned sector
+    values phi(condition(P C)), P running over the four sectors."""
+    reports = []
+    for k, c in enumerate(partition):
+        v = [state.evaluate(condition(state.sectors[label] * c)) for label in SECTORS]
+        residual = v[0] * v[1] - v[2] * v[3]
+        dominators = _cell_triviality(c, state, tol)
+        reports.append(CellReport(k, residual, state.evaluate(c), bool(dominators), dominators))
+    return CcsReport(
+        mode=mode,
+        cells=reports,
+        satisfied=all(_residual_is_zero(r.residual, state.exact, tol) for r in reports),
+        correlation=_state_correlation(state),
+        trivial=all(r.trivial for r in reports),
+    )
 
 
 def commuting_ccs_residuals(
@@ -262,20 +272,7 @@ def commuting_ccs_residuals(
                 f"cell {k} does not commute with both events; "
                 "use noncommuting_ccs_residuals for noncommuting partitions"
             )
-    reports = []
-    for k, c in enumerate(partition):
-        values = _sector_products(state, c)
-        residual = _rew_residual(values)
-        dominators = _cell_triviality(c, state, tol)
-        reports.append(CellReport(k, residual, state.evaluate(c), bool(dominators), dominators))
-    satisfied = all(_residual_is_zero(r.residual, state.exact, tol) for r in reports)
-    return CcsReport(
-        mode="commuting",
-        cells=reports,
-        satisfied=satisfied,
-        correlation=_state_correlation(state),
-        trivial=all(r.trivial for r in reports),
-    )
+    return _ccs_report("commuting", state, partition, tol, lambda y: y)
 
 
 def noncommuting_ccs_residuals(
@@ -286,22 +283,8 @@ def noncommuting_ccs_residuals(
     Conditioning goes through the partition's expectation E(x) = sum C_k x C_k,
     so the cells need not commute with the events; when they do, this
     coincides with :func:`commuting_ccs_residuals`."""
-    reports = []
-    for k, c in enumerate(partition):
-        values = [
-            state.evaluate(conditional_expectation(partition, state.sectors[label] * c))
-            for label in SECTORS
-        ]
-        residual = _rew_residual(values)
-        dominators = _cell_triviality(c, state, tol)
-        reports.append(CellReport(k, residual, state.evaluate(c), bool(dominators), dominators))
-    satisfied = all(_residual_is_zero(r.residual, state.exact, tol) for r in reports)
-    return CcsReport(
-        mode="noncommuting",
-        cells=reports,
-        satisfied=satisfied,
-        correlation=_state_correlation(state),
-        trivial=all(r.trivial for r in reports),
+    return _ccs_report(
+        "noncommuting", state, partition, tol, lambda y: conditional_expectation(partition, y)
     )
 
 

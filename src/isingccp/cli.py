@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -92,6 +93,21 @@ def region_from_literal(spec) -> DoubleCone:
     if not isinstance(spec["t"], int):
         raise SchemaError("region t must be an integer translate label")
     return DoubleCone.span(spec["t"], _coord_from_json(spec["i"]), _coord_from_json(spec["j"]))
+
+
+def _section(scenario: dict, name: str) -> dict:
+    value = scenario.get(name, {})
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be an object")
+    return value
+
+
+def _number(cfg: dict, key: str, default, kind=int):
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{key} must be a number, got {value!r}") from exc
 
 
 def _parse_cone_flag(text: str):
@@ -284,27 +300,17 @@ def _analysis_family(state, scenario, exact):
     return out
 
 
-def _default_budget(fallback: int) -> int:
-    import os
-
-    value = os.environ.get("ISINGCCP_BUDGET")
-    return int(value) if value else fallback
-
-
-def _default_qubits(fallback: int) -> int:
-    import os
-
-    value = os.environ.get("ISINGCCP_MAX_QUBITS")
+def _env_default(name: str, fallback: int) -> int:
+    value = os.environ.get(name)
     return int(value) if value else fallback
 
 
 def _analysis_enumerate(state, scenario):
-    enum_cfg = scenario.get("enumerate", {})
-    k = int(enum_cfg.get("k", 2))
-    budget = int(enum_cfg.get("budget", _default_budget(5_000_000)))
+    enum_cfg = _section(scenario, "enumerate")
+    k = _number(enum_cfg, "k", 2)
+    budget = _number(enum_cfg, "budget", _env_default("ISINGCCP_BUDGET", 5_000_000))
     if "sector_size" in enum_cfg:
-        size = int(enum_cfg["sector_size"])
-        m = [size] * 4
+        m = [_number(enum_cfg, "sector_size", None)] * 4
     else:
         sizes = state.sector_sizes()
         m = [sizes[k2] for k2 in SECTORS]
@@ -325,17 +331,19 @@ def _analysis_enumerate(state, scenario):
 
 
 def _analysis_solver(state, scenario):
-    cfg_in = scenario.get("solver", {})
+    cfg_in = _section(scenario, "solver")
     window = scenario.get("window", {"t": 0, "i": "0", "j": "1"})
     cone = region_from_literal(window)
     cfg = SolverConfig(
-        seed=int(cfg_in.get("seed", scenario.get("seed", 0))),
-        restarts=int(cfg_in.get("restarts", 20)),
-        max_iters=int(cfg_in.get("max_iters", 400)),
-        tol=float(cfg_in.get("tol", 1e-8)),
-        rank=cfg_in.get("rank"),
+        seed=_number(cfg_in, "seed", scenario.get("seed", 0)),
+        restarts=_number(cfg_in, "restarts", 20),
+        max_iters=_number(cfg_in, "max_iters", 400),
+        tol=_number(cfg_in, "tol", 1e-8, float),
+        rank=None if cfg_in.get("rank") is None else _number(cfg_in, "rank", None),
         commuting_constraint=bool(cfg_in.get("commuting_constraint", False)),
-        max_window_qubits=int(cfg_in.get("max_window_qubits", _default_qubits(10))),
+        max_window_qubits=_number(
+            cfg_in, "max_window_qubits", _env_default("ISINGCCP_MAX_QUBITS", 10)
+        ),
     )
     candidates = solve_noncommuting_cc(state, cone, cfg)
     return {
@@ -352,34 +360,44 @@ def _analysis_solver(state, scenario):
     }
 
 
+def _cone_from_json(value):
+    if isinstance(value, dict):
+        return region_from_literal(value)
+    if isinstance(value, str):
+        return _parse_cone_flag(value)
+    raise SchemaError(f"cone must be a region object or a 't,x' / 't,i,j' string, got {value!r}")
+
+
 def _analysis_geometry(scenario):
+    queries = scenario.get("geometry", [])
+    if not isinstance(queries, list):
+        raise SchemaError("geometry must be a list of queries")
     out = []
-    for query in scenario.get("geometry", []):
-        if query.get("op") != "pasts":
-            raise SchemaError(f"unknown geometry op {query.get('op')!r}")
-        a = region_from_literal(query["a"]) if isinstance(query.get("a"), dict) else _parse_cone_flag(query["a"])
-        b = region_from_literal(query["b"]) if isinstance(query.get("b"), dict) else _parse_cone_flag(query["b"])
-        mode = query.get("mode", "common")
-        region = pasts(a, b, mode)
-        entry = {"mode": mode, "region": region.to_dict()}
-        if "contains" in query:
-            probe = (
-                region_from_literal(query["contains"])
-                if isinstance(query["contains"], dict)
-                else _parse_cone_flag(query["contains"])
-            )
-            if isinstance(probe, MinimalCone):
-                entry["contains"] = region.contains_cone(probe)
-            else:
-                entry["contains"] = region.contains_double_cone(probe)
-        out.append(entry)
+    for query in queries:
+        if not isinstance(query, dict) or query.get("op") != "pasts":
+            raise SchemaError(f"unknown geometry query {query!r}")
+        if not {"a", "b"} <= set(query):
+            raise SchemaError('a pasts query needs cones "a" and "b"')
+        a, b = _cone_from_json(query["a"]), _cone_from_json(query["b"])
+        probe = _cone_from_json(query["contains"]) if "contains" in query else None
+        out.append(_pasts_entry(a, b, query.get("mode", "common"), probe))
     return out
+
+
+def _pasts_entry(a, b, mode: str, probe) -> dict:
+    """The past of two cones, and whether it contains the probe cone if one is given."""
+    region = pasts(a, b, mode)
+    entry = {"mode": mode, "region": region.to_dict()}
+    if isinstance(probe, MinimalCone):
+        entry["contains"] = region.contains_cone(probe)
+    elif probe is not None:
+        entry["contains"] = region.contains_double_cone(probe)
+    return entry
 
 
 def _write_plots(state, scenario, exact, report_dir):
     import csv
     import math
-    import os
 
     plots = scenario.get("plots", {})
     written = []
@@ -437,8 +455,6 @@ def _write_plots(state, scenario, exact, report_dir):
 
 def run_scenario(path_or_name: str, out_path=None, timings: bool = False) -> dict:
     """Execute a scenario and return (and optionally write) its report."""
-    import os
-
     scenario = load_scenario(path_or_name)
     t_start = time.perf_counter()
     state, params, exact = build_state_from_scenario(scenario)
@@ -534,17 +550,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_geom_pasts(args) -> int:
-    a = _parse_cone_flag(args.a)
-    b = _parse_cone_flag(args.b)
-    region = pasts(a, b, args.mode)
-    out = {"mode": args.mode, "region": region.to_dict()}
-    if args.contains:
-        probe = _parse_cone_flag(args.contains)
-        if isinstance(probe, MinimalCone):
-            out["contains"] = region.contains_cone(probe)
-        else:
-            out["contains"] = region.contains_double_cone(probe)
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
+    a, b = _parse_cone_flag(args.a), _parse_cone_flag(args.b)
+    probe = _parse_cone_flag(args.contains) if args.contains else None
+    json.dump(_pasts_entry(a, b, args.mode, probe), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 

@@ -21,19 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Operator, support_interval
 from .errors import ExactnessError, PreconditionError, SchemaError
 from .exact import ExactScalar
-from .halfint import to_double
+from .halfint import from_double, to_double
 
 __all__ = [
     "DynamicsParams",
     "beta_generator_image",
     "apply_beta",
-    "localize_at",
     "alpha_shift",
     "check_primitive_causality",
 ]
@@ -105,20 +103,16 @@ def _generator_image(params: DynamicsParams, site2: int, exact: bool) -> Operato
             i_h = ExactScalar(0, 1) * h
         else:
             i_h = 1j * h
-        terms = {
-            (site2,): eta * s2,
-            (site2 - 1, site2, site2 + 1): eta * c2,
-        }
-        img = Operator(terms, exact)
+        left, x, right = from_double(site2 - 1), from_double(site2), from_double(site2 + 1)
+        img = Operator.from_terms([(eta * s2, [x]), (eta * c2, [left, x, right])], exact)
         if not _is_scalar_zero(i_h):
-            img = img + Operator({(site2 - 1, site2): i_h}, exact)
-            img = img + Operator({(site2, site2 + 1): -i_h}, exact)
+            img = img + Operator.from_terms([(i_h, [left, x]), (-i_h, [x, right])], exact)
         return img
     s2, c2, h = params._coefficients(2, exact)
     eta = params.eta2
     left = _generator_image(params, site2 - 1, exact)
     right = _generator_image(params, site2 + 1, exact)
-    mid = Operator.generator(Fraction(site2, 2), exact)
+    mid = Operator.generator(from_double(site2), exact)
     img = mid.scaled(eta * s2) + (left * mid * right).scaled(eta * c2)
     if not _is_scalar_zero(h):
         i_h = (ExactScalar(0, 1) * h) if exact else 1j * h
@@ -152,7 +146,7 @@ def apply_beta(params: DynamicsParams, x: Operator, t: int) -> Operator:
     if t < 0:
         raise PreconditionError(
             "inverse evolution is not computed; build operators at a later "
-            "time as forward images of surface operators (see localize_at)"
+            "time as forward images of surface operators with apply_beta"
         )
     if x.time != 0:
         raise PreconditionError("apply_beta expects an operator with time label 0")
@@ -170,17 +164,14 @@ def apply_beta(params: DynamicsParams, x: Operator, t: int) -> Operator:
     return out.with_labels(t, base)
 
 
-def localize_at(params: DynamicsParams, x: Operator, t: int) -> Operator:
-    """Alias for :func:`apply_beta`: the operator 'x at time t'."""
-    return apply_beta(params, x, t)
-
-
 def alpha_shift(x: Operator, dx: int) -> Operator:
     """Integer space translation: every site i goes to i + dx."""
     dx = int(dx)
-    terms = {tuple(s + 2 * dx for s in sites): c for sites, c in x.terms()}
+    shifted = Operator.from_terms(
+        ((c, [from_double(s + 2 * dx) for s in sites]) for sites, c in x.terms()), x.exact
+    )
     base = None if x.base is None else (x.base[0] + 2 * dx, x.base[1] + 2 * dx)
-    return Operator(terms, x.exact, x.time, base)
+    return shifted.with_labels(x.time, base)
 
 
 def check_primitive_causality(params: DynamicsParams, site, exact: bool = False) -> bool:

@@ -215,6 +215,9 @@ class ExactScalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a rational value hashes like its Fraction, as __eq__ demands
+        if not self.im and len(self.re) <= 1:
+            return hash(self.re[0] if self.re else 0)
         return hash((self.re, self.im))
 
     def __complex__(self):

@@ -87,9 +87,6 @@ class MinimalCone:
     def translated(self, dt: int, dx: int) -> "MinimalCone":
         return MinimalCone(self.t2 + 2 * dt, self.x2 + 2 * dx)
 
-    def time_reflected(self) -> "MinimalCone":
-        return MinimalCone(-self.t2, self.x2)
-
     def as_double_cone(self) -> "DoubleCone":
         layer = self.t2 // 2 if self.x2 % 2 == 0 else (self.t2 - 1) // 2
         return DoubleCone(layer, self.x2, self.x2)

@@ -17,7 +17,6 @@ route, so the matrix shortcut never certifies itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -29,7 +28,7 @@ from .algebra import (
     localization,
     support_interval,
     to_matrix,
-    _reversal_sign,
+    window_monomials,
 )
 from .causal import noncommuting_ccs_residuals
 from .errors import BudgetError, PreconditionError
@@ -106,14 +105,10 @@ def _float_state(state: LambdaState) -> LambdaState:
 
 def _selfadjoint_basis(sites: list[int]) -> list[Operator]:
     """Hermitian monomial basis of the window algebra, identity excluded."""
-    basis = []
-    for size in range(1, len(sites) + 1):
-        for subset in combinations(sites, size):
-            if _reversal_sign(subset) > 0:
-                basis.append(Operator({subset: 1.0 + 0j}, False))
-            else:
-                basis.append(Operator({subset: 1j}, False))
-    return basis
+    return [
+        Operator.from_terms([(1.0 if sign > 0 else 1j, word)])
+        for word, sign in window_monomials(sites)
+    ]
 
 
 def _window_sites(window) -> list[int]:
@@ -128,8 +123,8 @@ def _window_sites(window) -> list[int]:
 
 
 def _chop(op: Operator, tol: float = 1e-12) -> Operator:
-    terms = {s: c for s, c in op.terms() if abs(c) > tol}
-    return Operator(terms, False, op.time, op.base)
+    kept = [(c, [from_double(s) for s in sites]) for sites, c in op.terms() if abs(c) > tol]
+    return Operator.from_terms(kept).with_labels(op.time, op.base)
 
 
 def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | None = None) -> list:
@@ -223,19 +218,19 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
 def _postprocess(c_mat, basis, fstate, sites, mat_win, dim, a_loc, b_loc, cfg, restart, objective):
     # expand the matrix in the window's monomial basis and confirm it stays
     # inside the window algebra (eigenvalue ties can push it outside)
-    coeffs = {(): np.trace(c_mat).real / dim}
-    recon = coeffs[()] * np.eye(dim, dtype=complex)
-    for size in range(1, len(sites) + 1):
-        for subset in combinations(sites, size):
-            mono_mat = to_matrix(Operator({subset: 1.0 + 0j}, False), mat_win)
-            # monomial matrices are HS-orthonormal; the adjoint of one is
-            # its reversal sign times itself
-            c = _reversal_sign(subset) * np.trace(mono_mat @ c_mat) / dim
-            coeffs[subset] = c
-            recon = recon + c * mono_mat
+    unit = np.trace(c_mat).real / dim
+    terms = [(unit, ())]
+    recon = unit * np.eye(dim, dtype=complex)
+    for word, sign in window_monomials(sites):
+        mono_mat = to_matrix(Operator.from_terms([(1.0, word)]), mat_win)
+        # monomial matrices are HS-orthonormal; the adjoint of one is its
+        # reversal sign times itself
+        c = sign * np.trace(mono_mat @ c_mat) / dim
+        terms.append((complex(c), word))
+        recon = recon + c * mono_mat
     if np.linalg.norm(recon - c_mat) > 1e-8:
         return None
-    c_op = _chop(Operator({s: complex(v) for s, v in coeffs.items()}, False), 1e-11)
+    c_op = _chop(Operator.from_terms(terms), 1e-11)
     if c_op.is_zero or not is_projection(c_op, 1e-8):
         return None
     one = Operator.identity()

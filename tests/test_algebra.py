@@ -16,6 +16,7 @@ from isingccp import (
     mono_mul,
     normalized_trace,
     product_trace,
+    alpha_shift,
     support_interval,
     to_matrix,
 )
@@ -177,14 +178,28 @@ def test_support_outside_window_rejected():
 
 def test_oracle_is_a_homomorphism():
     rng = np.random.default_rng(7)
-    win = (0, Fraction(7, 2))
-    for _ in range(40):
-        x, y = random_operator(rng), random_operator(rng)
-        mx, my = to_matrix(x, win), to_matrix(y, win)
-        assert np.allclose(to_matrix(x * y, win), mx @ my, atol=1e-12)
-        assert np.allclose(to_matrix(x.adjoint(), win), mx.conj().T, atol=1e-12)
-        dim = mx.shape[0]
-        assert abs(np.trace(mx) / dim - complex(normalized_trace(x))) < 1e-12
+    # doubled sites from [lo, 8), the second range crossing below site 0
+    for lo, win in ((0, (0, Fraction(7, 2))), (-6, (-3, Fraction(7, 2)))):
+        for _ in range(40):
+            x, y = random_operator(rng, lo=lo), random_operator(rng, lo=lo)
+            mx, my = to_matrix(x, win), to_matrix(y, win)
+            assert np.allclose(to_matrix(x * y, win), mx @ my, atol=1e-12)
+            assert np.allclose(to_matrix(x.adjoint(), win), mx.conj().T, atol=1e-12)
+            dim = mx.shape[0]
+            assert abs(np.trace(mx) / dim - complex(normalized_trace(x))) < 1e-12
+
+
+def test_sites_below_the_encoding_limit_are_rejected():
+    lowest = Operator.generator(-32)
+    assert support_interval(lowest) == (-32, -32)
+    assert alpha_shift(Operator.generator(0), -32) == lowest
+    for site in (-33, Fraction(-65, 2)):
+        with pytest.raises(PreconditionError):
+            Operator.generator(site)
+        with pytest.raises(PreconditionError):
+            Operator.from_terms([(1.0, [0, site])])
+    with pytest.raises(PreconditionError):
+        alpha_shift(half_sum(HALF), -33)
 
 
 def test_oracle_relations():
@@ -195,6 +210,17 @@ def test_oracle_relations():
         for j in sites:
             sign = -1 if abs(i - j) == HALF else 1
             assert np.array_equal(mats[i] @ mats[j], sign * (mats[j] @ mats[i]))
+    # explicit images on qubits -1, 0, 1 (qubit -1 is the leftmost factor)
+    x, z, one = np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.eye(2)
+
+    def on(factors):
+        return np.kron(np.kron(factors.get(-1, one), factors.get(0, one)), factors.get(1, one))
+
+    for k in (-1, 0, 1):
+        assert np.array_equal(to_matrix(Operator.generator(k), (-1, 1)), on({k: z}))
+    for k in (-1, 0):
+        image = on({k: x, k + 1: x})
+        assert np.array_equal(to_matrix(Operator.generator(k + HALF), (-1, 1)), image)
 
 
 def test_localization_labels(std_params, events_float):

@@ -26,6 +26,7 @@ from isingccp import (
     screening_weight,
     support_interval,
     to_matrix,
+    window_monomials,
 )
 from conftest import half_sum
 
@@ -352,21 +353,18 @@ def test_density_matrix_identity_for_residuals(state_float):
 def test_density_identity_for_random_partitions(state_float):
     """Tr(X C rho C) matches the symbolic conditioned values for partitions
     built from random spectral projections of window elements."""
-    from isingccp.algebra import _reversal_sign
-    from itertools import combinations
-
     rng = np.random.default_rng(46)
     lo, hi = state_float.window()
     win = (F(lo, 2), F(hi, 2))
     rho = state_float.density_matrix(win)
-    sites = [0, 1, 2]  # doubled: the surface window over (0, 1)
-    subsets = [s for size in range(1, 4) for s in combinations(sites, size)]
+    # doubled sites 0, 1, 2: the surface window over (0, 1)
+    monomials = list(window_monomials([0, 1, 2]))
     one = Operator.identity()
     for _ in range(10):
         h = Operator.zero()
-        for subset in subsets:
+        for word, sign in monomials:
             coeff = float(rng.normal())
-            h = h + Operator({subset: coeff + 0j if _reversal_sign(subset) > 0 else coeff * 1j}, False)
+            h = h + Operator.from_terms([(coeff if sign > 0 else coeff * 1j, word)])
         h_mat = to_matrix(h, win)
         _, vecs = np.linalg.eigh(h_mat)
         rank = int(rng.integers(1, 4)) * 4  # multiples of the embedding factor
@@ -374,10 +372,10 @@ def test_density_identity_for_random_partitions(state_float):
         c_mat = top @ top.conj().T
         # expand back into the window's monomial basis
         dim = h_mat.shape[0]
-        c_op = Operator({(): complex(np.trace(c_mat)) / dim}, False)
-        for subset in subsets:
-            mono = Operator({subset: 1.0 + 0j}, False)
-            coeff = _reversal_sign(subset) * np.trace(to_matrix(mono, win) @ c_mat) / dim
+        c_op = Operator.identity().scaled(complex(np.trace(c_mat)) / dim)
+        for word, sign in monomials:
+            mono = Operator.from_terms([(1.0, word)])
+            coeff = sign * np.trace(to_matrix(mono, win) @ c_mat) / dim
             c_op = c_op + mono.scaled(complex(coeff))
         if not is_projection(c_op, 1e-9):
             continue  # degenerate spectral cut left the window algebra

@@ -124,6 +124,26 @@ def test_missing_weights_is_schema_error(tmp_path):
     assert run_cli("run", str(path)) == 2
 
 
+@pytest.mark.parametrize("entry", [
+    {"analyses": ["enumerate-commuting"], "enumerate": {"k": "x"}},
+    {"analyses": ["enumerate-commuting"], "enumerate": ["k"]},
+    {"analyses": ["solve-noncommuting"], "solver": {"restarts": "many"}},
+    {"analyses": ["solve-noncommuting"], "solver": {"rank": "half"}},
+    {"analyses": ["geometry"], "geometry": [{"op": "pasts"}]},
+    {"analyses": ["geometry"], "geometry": ["pasts"]},
+])
+def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
+    scenario = {
+        "mode": "exact",
+        "events": {"A": {"site": "0", "time": 1}, "B": {"site": "1", "time": 1}},
+        "weights": {"AB": "1/4", "ApBp": "1/4", "ABp": "1/4+pi/20", "ApB": "1/4-pi/20"},
+        **entry,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert run_cli("run", str(path)) == 2
+
+
 def test_weight_violation_is_precondition_error(tmp_path):
     scenario = {
         "mode": "exact",

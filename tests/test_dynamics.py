@@ -15,7 +15,6 @@ from isingccp import (
     commutes,
     is_projection,
     localization,
-    localize_at,
     normalized_trace,
     spacelike_separated,
     support_interval,
@@ -95,7 +94,7 @@ def test_apply_beta_builds_the_standard_events(std_params):
     )
     assert a == expected.with_labels(1, (0, 0))
     assert is_projection(a)
-    assert localize_at(std_params, half_sum(0, exact=True), 1) == a
+    assert apply_beta(std_params, half_sum(0, exact=True), 1) == a
 
 
 def test_apply_beta_rejects_negative_time(std_params):

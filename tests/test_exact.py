@@ -82,6 +82,13 @@ def test_complex_parts_and_conjugation():
     assert complex(EXACT_I) == 1j
 
 
+def test_hash_agrees_with_equality():
+    assert len({ExactScalar(1), 1}) == 1
+    assert len({ExactScalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(ExactScalar(0)) == hash(0)
+    assert hash(parse_exact("1/4+pi/20")) == hash(parse_exact("1/4+pi/20"))
+
+
 def test_float_mixing_rejected():
     with pytest.raises(ExactnessError):
         ExactScalar(1) + 0.5
