@@ -30,7 +30,7 @@ from itertools import product as iter_product
 from typing import NamedTuple
 
 from .algebra import DEFAULT_TOL, Operator, commutes
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, ExactnessError, PreconditionError
 from .exact import ExactScalar
 from .states import (
     SECTORS,
@@ -309,6 +309,20 @@ def _coerce_exact_weights(weights):
     return out
 
 
+def _sector_sizes(m) -> list:
+    m = [int(v) for v in m]
+    if len(m) != 4:
+        raise PreconditionError("expected four sector sizes")
+    if any(v <= 0 for v in m):
+        raise PreconditionError("sector sizes must be positive")
+    return m
+
+
+def _rank_products(m, r) -> tuple:
+    """The integers L, R of a cell, whose identity reads w_AB w_A'B' L == w_AB' w_A'B R."""
+    return m[2] * m[3] * r[0] * r[1], m[0] * m[1] * r[2] * r[3]
+
+
 def exact_wccp_decision(weights, m, r) -> bool:
     """Decide one cell of the commuting screening-off condition exactly.
 
@@ -321,17 +335,42 @@ def exact_wccp_decision(weights, m, r) -> bool:
     which this decides with no tolerance at all.
     """
     w = _coerce_exact_weights(weights)
-    m = [int(v) for v in m]
+    m = _sector_sizes(m)
     r = [int(v) for v in r]
-    if len(m) != 4 or len(r) != 4:
-        raise PreconditionError("expected four sector sizes and four ranks")
-    if any(v <= 0 for v in m):
-        raise PreconditionError("sector sizes must be positive")
+    if len(r) != 4:
+        raise PreconditionError("expected four ranks")
     if any(v < 0 or v > mv for v, mv in zip(r, m)):
         raise PreconditionError("ranks must satisfy 0 <= r_P <= m_P")
-    lhs = w[0] * w[1] * (m[2] * m[3] * r[0] * r[1])
-    rhs = w[2] * w[3] * (m[0] * m[1] * r[2] * r[3])
-    return lhs == rhs
+    lhs, rhs = _rank_products(m, r)
+    return w[0] * w[1] * lhs == w[2] * w[3] * rhs
+
+
+def _cell_test(w, m):
+    """An integer predicate on rank tuples r that agrees with exact_wccp_decision(w, m, r).
+
+    With P = w_AB w_A'B', Q = w_AB' w_A'B and (L, R) = _rank_products(m, r),
+    the identity P*L == Q*R holds iff a*L == b*R, where (a, b) is (0, 0) if
+    P = Q = 0, (0, 1) if only P = 0, (1, 0) if only Q = 0, and P/Q = a/b if
+    that ratio is rational.  If it is not, only L = R = 0 passes, since
+    L, R >= 0 are integers.  The weights are inspected here, once."""
+    p, q = w[0] * w[1], w[2] * w[3]
+    if p.is_zero or q.is_zero:
+        a, b = int(not p.is_zero), int(not q.is_zero)
+    else:
+        try:
+            ratio = p / q
+            rational = ratio.is_rational
+        except ExactnessError:  # P/Q is not a polynomial in pi
+            rational = False
+        if not rational:
+            return lambda r: _rank_products(m, r) == (0, 0)
+        a, b = ratio.as_fraction().as_integer_ratio()
+
+    def passes(r):
+        lhs, rhs = _rank_products(m, r)
+        return a * lhs == b * rhs
+
+    return passes
 
 
 def _cell_trivial_ranks(r) -> bool:
@@ -341,15 +380,6 @@ def _cell_trivial_ranks(r) -> bool:
         or (r[2] == 0 and r[1] == 0)  # below B
         or (r[0] == 0 and r[3] == 0)  # below B'
     )
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 class EnumerationResult(NamedTuple):
@@ -375,31 +405,45 @@ def enumerate_commuting_tuples(weights, m, k_size: int, budget: int = 5_000_000)
     realized by orthogonal subprojections), so an empty nontrivial list is a
     complete verification that no nontrivial commuting partition of that
     size satisfies the screening-off condition on the window.
+
+    The weights are reduced once to an integer test per cell (see
+    :func:`_cell_test`), the cells passing it are listed, and a backtracking
+    search builds only the k-tuples of passing cells whose ranks add up to
+    each sector size; no scalar arithmetic happens per profile.  The
+    satisfying profiles come out in the order of the product, sector by
+    sector, of the lexicographic rank compositions.  ``checked`` is still
+    the closed-form number of profiles, prod_P C(m_P + k - 1, k - 1), and
+    the budget caps that number.
     """
     w = _coerce_exact_weights(weights)
-    m = [int(v) for v in m]
+    m = _sector_sizes(m)
     if k_size < 1:
         raise PreconditionError("partition size must be at least 1")
-    count = 1
-    for mv in m:
-        count *= math.comb(mv + k_size - 1, k_size - 1)
+    count = math.prod(math.comb(mv + k_size - 1, k_size - 1) for mv in m)
     if count > budget:
         raise BudgetError(
             f"enumeration needs {count} rank profiles, over the budget of {budget}"
         )
-    sector_splits = [list(_compositions(mv, k_size)) for mv in m]
-    satisfying = []
-    nontrivial = []
-    checked = 0
-    for combo in iter_product(*sector_splits):
-        checked += 1
-        cells = [tuple(combo[p][k] for p in range(4)) for k in range(k_size)]
-        if all(exact_wccp_decision(w, m, cell) for cell in cells):
-            trivial = all(_cell_trivial_ranks(cell) for cell in cells)
-            satisfying.append((tuple(cells), trivial))
-            if not trivial:
-                nontrivial.append(tuple(cells))
-    return EnumerationResult(checked, satisfying, nontrivial)
+    passes = _cell_test(w, m)
+    # cells 1..k-1 are passing cells that fit in what the earlier ones left;
+    # the last cell is whatever remains, so k = 1 lists no cells (there are
+    # prod (m_P + 1) of them, which the budget does not bound)
+    cells = iter_product(*(range(mv + 1) for mv in m)) if k_size > 1 else ()
+    good = [r for r in cells if passes(r)]
+    profiles = []
+    stack = [((), tuple(m), good)]
+    while stack:
+        prefix, rest, fits = stack.pop()
+        if len(prefix) == k_size - 1:
+            if passes(rest):
+                profiles.append(prefix + (rest,))
+            continue
+        fits = [c for c in fits if all(x <= y for x, y in zip(c, rest))]
+        stack.extend((prefix + (c,), tuple(y - x for x, y in zip(c, rest)), fits) for c in fits)
+    profiles.sort(key=lambda cells: tuple(zip(*cells)))
+    satisfying = [(cells, all(_cell_trivial_ranks(c) for c in cells)) for cells in profiles]
+    nontrivial = [cells for cells, trivial in satisfying if not trivial]
+    return EnumerationResult(count, satisfying, nontrivial)
 
 
 # -- the weight formula and the explicit family -----------------------------------

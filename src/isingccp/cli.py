@@ -261,8 +261,7 @@ def build_state_from_scenario(scenario: dict):
 
 
 def _family_triples(scenario: dict, exact: bool):
-    fam = scenario.get("family", {})
-    coeffs = fam.get("coefficients") if isinstance(fam, dict) else None
+    coeffs = _section(scenario, "family").get("coefficients")
     if coeffs is None:
         if exact:
             coeffs = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
@@ -273,14 +272,19 @@ def _family_triples(scenario: dict, exact: bool):
             rng = np.random.default_rng(int(scenario.get("seed", 0)))
             vecs = rng.normal(size=(6, 3))
             coeffs = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tolist()
+    elif not isinstance(coeffs, list):
+        raise SchemaError("family coefficients must be a list of triples")
     triples = []
     for entry in coeffs:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError("family coefficients must be triples")
-        if exact:
-            triples.append(tuple(Fraction(v) for v in entry))
-        else:
-            triples.append(tuple(float(Fraction(v)) if isinstance(v, str) else float(v) for v in entry))
+        try:
+            if exact:
+                triples.append(tuple(Fraction(v) for v in entry))
+            else:
+                triples.append(tuple(float(Fraction(v)) if isinstance(v, str) else float(v) for v in entry))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"cannot read family coefficients {entry!r}") from exc
     return triples
 
 
@@ -302,7 +306,12 @@ def _analysis_family(state, scenario, exact):
 
 def _env_default(name: str, fallback: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else fallback
+    if not value:
+        return fallback
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise SchemaError(f"{name} must be an integer, got {value!r}") from exc
 
 
 def _analysis_enumerate(state, scenario):
@@ -620,7 +629,10 @@ def _cmd_ccp_enumerate(args) -> int:
     weights = [parse_exact(tok) for tok in args.weights.split(",")]
     if len(weights) != 4:
         raise SchemaError("--weights needs four comma-separated exact tokens")
-    m = [int(v) for v in args.m.split(",")]
+    try:
+        m = [int(v) for v in args.m.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"--m needs comma-separated integers, got {args.m!r}") from exc
     if len(m) == 1:
         m = m * 4
     result = enumerate_commuting_tuples(weights, m, args.k, budget=args.budget)

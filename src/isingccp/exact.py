@@ -84,6 +84,54 @@ def _eval(coeffs, x: float) -> float:
     return out
 
 
+def _arctan_bounds(x: int, n: int) -> tuple:
+    """Rational bounds on arctan(1/x) from n and n + 1 terms of its alternating series."""
+    terms = [Fraction((-1) ** j, (2 * j + 1) * x ** (2 * j + 1)) for j in range(n + 1)]
+    low = sum(terms[:n], _ZERO)
+    return min(low, low + terms[n]), max(low, low + terms[n])
+
+
+def _pi_bounds(n: int) -> tuple:
+    """Rational bounds on pi by Machin's formula 16 arctan(1/5) - 4 arctan(1/239)."""
+    a_lo, a_hi = _arctan_bounds(5, n)
+    b_lo, b_hi = _arctan_bounds(239, n)
+    return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
+
+
+def _sign(coeffs) -> int:
+    """The exact sign of sum_k coeffs[k] * pi^k.
+
+    The double-precision value decides when its magnitude exceeds a generous
+    bound on the error of rounding pi, the coefficients and each Horner step
+    (2**-1000 covers the absolute error of subnormal steps).  Otherwise the
+    polynomial is bounded on ever tighter rational intervals around pi; this
+    ends because pi is transcendental, so a nonzero polynomial does not
+    vanish there."""
+    if not coeffs:
+        return 0
+    try:
+        value = _eval(coeffs, math.pi)
+        magnitude = _eval([abs(c) for c in coeffs], math.pi)
+        error = 8 * (len(coeffs) + 1) * 2.0 ** -53 * magnitude + 2.0 ** -1000
+    except OverflowError:
+        value = error = math.inf
+    if abs(value) > error:
+        return 1 if value > 0 else -1
+    n = 16
+    while True:
+        lo, hi = _pi_bounds(n)
+        low = high = _ZERO
+        for k, c in enumerate(coeffs):
+            ends = (c * lo ** k, c * hi ** k)
+            low += min(ends)
+            high += max(ends)
+        if low > 0:
+            return 1
+        if high < 0:
+            return -1
+        n *= 2
+
+
 class ExactScalar:
     """An element of Q(i)[pi], i.e. sum_k (a_k + i*b_k) * pi^k with a_k, b_k rational.
 
@@ -91,9 +139,9 @@ class ExactScalar:
     mixing with floats raises :class:`~isingccp.errors.ExactnessError` so that
     exact decisions can never silently degrade to floating point.
 
-    Order comparisons apply to real elements only and are evaluated
-    numerically (a nonzero element of Q[pi] has a definite sign, but the
-    comparison here is via double precision).
+    Order comparisons apply to real elements only and are exact: a nonzero
+    element of Q[pi] has a definite sign, which double precision decides
+    when it safely can and rational bounds on pi decide otherwise.
     """
 
     __slots__ = ("re", "im")
@@ -228,25 +276,24 @@ class ExactScalar:
             raise ExactnessError(f"{self} has an imaginary part")
         return _eval(self.re, math.pi)
 
-    def _real_value(self, other):
+    def _compare(self, other) -> int:
+        """The exact sign of self - other."""
         other = self._coerce(other)
         if other is None or self.im or other.im:
             raise ExactnessError("ordering is defined for real exact scalars only")
-        return _eval(self.re, math.pi), _eval(other.re, math.pi)
+        return _sign(_add(self.re, _neg(other.re)))
 
     def __lt__(self, other):
-        a, b = self._real_value(other)
-        return a < b
+        return self._compare(other) < 0
 
     def __le__(self, other):
-        return self == other or self < other
+        return self._compare(other) <= 0
 
     def __gt__(self, other):
-        a, b = self._real_value(other)
-        return a > b
+        return self._compare(other) > 0
 
     def __ge__(self, other):
-        return self == other or self > other
+        return self._compare(other) >= 0
 
     # -- formatting ----------------------------------------------------------
 

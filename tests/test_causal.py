@@ -1,13 +1,18 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from isingccp import (
     BudgetError,
     DoubleCone,
+    EXACT_I,
+    EnumerationResult,
     ExactScalar,
     Operator,
+    PI,
     PartitionOfUnity,
     PreconditionError,
     ProbabilitySpace,
@@ -172,6 +177,95 @@ def test_enumeration_size_one_partition(pi_offset_weights):
 def test_enumeration_budget(pi_offset_weights):
     with pytest.raises(BudgetError):
         enumerate_commuting_tuples(pi_offset_weights, (64, 64, 64, 64), 3, budget=1000)
+
+
+@pytest.mark.parametrize("m, k", [((0, 4, 4, 4), 2), ((4, 4, 0, 4), 1), ((4, 4, 4, -1), 3),
+                                  ((4, 4, 4), 2), ((4, 4, 4, 4), 0)])
+def test_enumeration_preconditions(pi_offset_weights, m, k):
+    with pytest.raises(PreconditionError):
+        enumerate_commuting_tuples(pi_offset_weights, m, k)
+
+
+def test_enumeration_three_cells_on_the_eight_site_window(pi_offset_weights):
+    # every one of the 45^4 profiles of three-cell commuting partitions at
+    # sector size 8 is decided: only trivial partitions screen off
+    result = enumerate_commuting_tuples(pi_offset_weights, (8, 8, 8, 8), 3)
+    assert result.checked == 45 ** 4
+    assert result.n_satisfying > 0
+    assert result.n_nontrivial == 0
+
+
+# -- the enumeration against a per-profile reference -------------------------------
+
+# the sectors AB, A'B', AB', A'B that make up each event
+_EVENT_SECTORS = {"A": (0, 2), "A'": (1, 3), "B": (0, 3), "B'": (1, 2)}
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _reference_enumeration(weights, m, k):
+    """Every rank profile in product-of-compositions order, one exact decision per cell."""
+    checked, satisfying = 0, []
+    for splits in product(*(_compositions(mv, k) for mv in m)):
+        checked += 1
+        cells = tuple(tuple(split[j] for split in splits) for j in range(k))
+        if all(exact_wccp_decision(weights, m, cell) for cell in cells):
+            trivial = all(
+                any(all(cell[p] == 0 for p in range(4) if p not in inside)
+                    for inside in _EVENT_SECTORS.values())
+                for cell in cells
+            )
+            satisfying.append((cells, trivial))
+    return EnumerationResult(checked, satisfying, [c for c, trivial in satisfying if not trivial])
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+_scalars = st.one_of(
+    st.just(ExactScalar(0)),
+    _small.map(ExactScalar),
+    st.tuples(_small, _small).map(ExactScalar),  # a + b pi
+    st.tuples(_small, _small).map(lambda t: ExactScalar(t[0], t[1])),  # a + b i
+)
+_unit = st.fractions(min_value=F(1, 10), max_value=1, max_denominator=10)
+
+
+@st.composite
+def _enumeration_cases(draw):
+    k = draw(st.integers(1, 3))
+    m = draw(st.lists(st.integers(1, 4 if k < 3 else 3), min_size=4, max_size=4))
+    kind = draw(st.sampled_from(["hit", "hit", "scalars", "pi-offset"]))
+    if kind == "scalars":
+        return [draw(_scalars) for _ in range(4)], m, k
+    if kind == "pi-offset":
+        return [parse_exact(t) for t in ("1/4", "1/4", "1/4+pi/20", "1/4-pi/20")], m, k
+    # P/Q = w_AB w_A'B' / (w_AB' w_A'B) set to R/L of a drawn cell with both
+    # products nonzero, so that this cell passes and nontrivial profiles can;
+    # a common factor of w_AB and w_AB' keeps P/Q rational while the weights
+    # are not, and an extra factor of w_AB alone (pi or i) makes it irrational
+    r = [draw(st.integers(1, mv)) for mv in m]
+    ratio = F(m[0] * m[1] * r[2] * r[3], m[2] * m[3] * r[0] * r[1])
+    w_apbp, w_abp, w_apb = draw(_unit), draw(_unit), draw(_unit)
+    factor = draw(st.sampled_from([ExactScalar(1), PI, 1 + PI, EXACT_I, PI * PI - 3]))
+    extra = draw(st.sampled_from([ExactScalar(1), ExactScalar(1), PI, EXACT_I]))
+    weights = [extra * factor * (ratio * w_abp * w_apb / w_apbp), ExactScalar(w_apbp),
+               factor * w_abp, ExactScalar(w_apb)]
+    return weights, m, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_enumeration_cases())
+def test_enumeration_matches_the_per_profile_reference(case):
+    weights, m, k = case
+    result = enumerate_commuting_tuples(weights, m, k)
+    assume(result.checked <= 1500)
+    assert result == _reference_enumeration(weights, m, k)
 
 
 # -- the weight formula ----------------------------------------------------------------

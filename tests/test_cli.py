@@ -64,6 +64,19 @@ def test_enumerate_budget_exit_code(capsys):
     assert code == 3
 
 
+def test_enumerate_malformed_sector_sizes_is_schema_error(capsys):
+    code = run_cli("ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", "x", "--k", "2")
+    assert code == 2
+    assert "--m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["ISINGCCP_BUDGET", "ISINGCCP_MAX_QUBITS"])
+def test_malformed_budget_variable_is_schema_error(monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "abc")
+    assert run_cli("run", "common-cause-demo") == 2
+    assert name in capsys.readouterr().err
+
+
 def _demo_scenario_with_partition():
     half_b = [{"coeff": "1/2", "sites": [], "phase": "+1"},
               {"coeff": "1/2", "sites": ["1/2", "1", "3/2"], "phase": "+1"}]
@@ -131,6 +144,9 @@ def test_missing_weights_is_schema_error(tmp_path):
     {"analyses": ["solve-noncommuting"], "solver": {"rank": "half"}},
     {"analyses": ["geometry"], "geometry": [{"op": "pasts"}]},
     {"analyses": ["geometry"], "geometry": ["pasts"]},
+    {"analyses": ["family-residuals"], "family": {"coefficients": [["x", "0", "1"]]}},
+    {"analyses": ["family-residuals"], "family": {"coefficients": [5]}},
+    {"analyses": ["family-residuals"], "family": {"coefficients": 5}},
 ])
 def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     scenario = {

@@ -103,6 +103,24 @@ def test_ordering_of_real_values():
         _ = EXACT_I < ExactScalar(1)
 
 
+def test_ordering_is_exact_below_double_precision():
+    # a continued-fraction convergent of pi: the difference is about +7.8e-17,
+    # which double-precision evaluation cannot tell from zero
+    x = parse_exact("pi") - Fraction(245850922, 78256779)
+    assert x > 0 and x >= 0 and x != 0
+    assert not x < 0 and not x <= 0
+    assert -x < 0 and not -x > 0
+    assert parse_exact("pi") > ExactScalar(Fraction(245850922, 78256779))
+    assert (x * x - x * x) <= 0 <= x * x
+
+
+@given(polys, polys)
+def test_ordering_trichotomy(p, q):
+    x, y = scalar(p), scalar(q)
+    assert [x < y, x == y, x > y].count(True) == 1
+    assert (x < y) == (y > x) and (x <= y) == (y >= x)
+
+
 def test_float_evaluation():
     import math
 

@@ -33,6 +33,14 @@ def test_rejects_noncommuting_events():
         build_lambda_state(a, b, QUARTER)
 
 
+def test_exact_weight_below_double_precision_is_positive(events_exact):
+    tiny = parse_exact("pi") - Fraction(245850922, 78256779)  # about 7.8e-17
+    quarter = ExactScalar(Fraction(1, 4))
+    weights = {"AB": tiny, "ApBp": quarter, "ABp": quarter, "ApB": ExactScalar(HALF) - tiny}
+    state = build_lambda_state(*events_exact, weights)
+    assert state.weights["AB"] == tiny
+
+
 def test_rejects_degenerate_sector():
     a = half_sum(0)
     with pytest.raises(DegenerateSectorError):
