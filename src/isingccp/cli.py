@@ -283,7 +283,7 @@ def _family_triples(scenario: dict, exact: bool):
                 triples.append(tuple(Fraction(v) for v in entry))
             else:
                 triples.append(tuple(float(Fraction(v)) if isinstance(v, str) else float(v) for v in entry))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise SchemaError(f"cannot read family coefficients {entry!r}") from exc
     return triples
 

@@ -98,28 +98,17 @@ def _pi_bounds(n: int) -> tuple:
     return 16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo
 
 
+_PI_BOUNDS_16 = _pi_bounds(16)
+
+
 def _sign(coeffs) -> int:
     """The exact sign of sum_k coeffs[k] * pi^k.
 
-    The double-precision value decides when its magnitude exceeds a generous
-    bound on the error of rounding pi, the coefficients and each Horner step
-    (2**-1000 covers the absolute error of subnormal steps).  Otherwise the
-    polynomial is bounded on ever tighter rational intervals around pi; this
-    ends because pi is transcendental, so a nonzero polynomial does not
-    vanish there."""
-    if not coeffs:
-        return 0
-    try:
-        value = _eval(coeffs, math.pi)
-        magnitude = _eval([abs(c) for c in coeffs], math.pi)
-        error = 8 * (len(coeffs) + 1) * 2.0 ** -53 * magnitude + 2.0 ** -1000
-    except OverflowError:
-        value = error = math.inf
-    if abs(value) > error:
-        return 1 if value > 0 else -1
-    n = 16
-    while True:
-        lo, hi = _pi_bounds(n)
+    The polynomial is bounded on rational intervals around pi, tightened
+    until both bounds share a sign; this ends because pi is transcendental,
+    so a nonzero polynomial does not vanish there."""
+    n, (lo, hi) = 16, _PI_BOUNDS_16
+    while coeffs:
         low = high = _ZERO
         for k, c in enumerate(coeffs):
             ends = (c * lo ** k, c * hi ** k)
@@ -130,6 +119,8 @@ def _sign(coeffs) -> int:
         if high < 0:
             return -1
         n *= 2
+        lo, hi = _pi_bounds(n)
+    return 0
 
 
 class ExactScalar:
@@ -140,8 +131,7 @@ class ExactScalar:
     exact decisions can never silently degrade to floating point.
 
     Order comparisons apply to real elements only and are exact: a nonzero
-    element of Q[pi] has a definite sign, which double precision decides
-    when it safely can and rational bounds on pi decide otherwise.
+    element of Q[pi] has a definite sign, which rational bounds on pi decide.
     """
 
     __slots__ = ("re", "im")

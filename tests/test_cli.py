@@ -147,6 +147,9 @@ def test_missing_weights_is_schema_error(tmp_path):
     {"analyses": ["family-residuals"], "family": {"coefficients": [["x", "0", "1"]]}},
     {"analyses": ["family-residuals"], "family": {"coefficients": [5]}},
     {"analyses": ["family-residuals"], "family": {"coefficients": 5}},
+    {"analyses": ["family-residuals"], "family": {"coefficients": [[1e400, 0, 1]]}},
+    {"mode": "float", "analyses": ["family-residuals"],
+     "family": {"coefficients": [["1e400", "0", "1"]]}},
 ])
 def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     scenario = {

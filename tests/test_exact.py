@@ -114,6 +114,33 @@ def test_ordering_is_exact_below_double_precision():
     assert (x * x - x * x) <= 0 <= x * x
 
 
+def _pi_convergents():
+    # the continued fraction of pi; its convergents lie alternately below and
+    # above pi, the last ones closer to it than 1e-24
+    terms = (3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2, 1, 84, 2, 1, 1, 15, 3, 13)
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    out = []
+    for a in terms:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        out.append(Fraction(h, k))
+    return out
+
+
+PI_CONVERGENTS = _pi_convergents()
+
+
+@given(st.integers(0, len(PI_CONVERGENTS) - 1), rationals.filter(bool))
+def test_ordering_at_pi_convergents(n, r):
+    c = PI_CONVERGENTS[n]
+    below = n % 2 == 0
+    pi = parse_exact("pi")
+    # pi^2 - c^2 has the sign of pi - c
+    for x in (pi - c, pi * pi - c * c):
+        assert (r * x > 0) == (below == (r > 0))
+        assert (r * x < 0) == (below != (r > 0))
+
+
 @given(polys, polys)
 def test_ordering_trichotomy(p, q):
     x, y = scalar(p), scalar(q)
