@@ -13,8 +13,6 @@ from isingccp import (
     Operator,
     commutes,
     is_projection,
-    mono_mul,
-    normalized_trace,
     support_interval,
     to_matrix,
 )
@@ -23,22 +21,22 @@ half = Fraction(1, 2)
 
 u0 = GeneratorMonomial.of([0])
 uh = GeneratorMonomial.of([half])
-print("U(0)*U(1/2)  =", mono_mul(u0, uh))
-print("U(1/2)*U(0)  =", mono_mul(uh, u0), "   (the swap costs a sign)")
-print("U(0)*U(0)    =", mono_mul(u0, u0))
-print("U(0)*U(5) == U(5)*U(0)?", mono_mul(u0, GeneratorMonomial.of([5])) ==
-      mono_mul(GeneratorMonomial.of([5]), u0))
+print("U(0)*U(1/2)  =", u0 * uh)
+print("U(1/2)*U(0)  =", uh * u0, "   (the swap costs a sign)")
+print("U(0)*U(0)    =", u0 * u0)
+print("U(0)*U(5) == U(5)*U(0)?", u0 * GeneratorMonomial.of([5]) ==
+      GeneratorMonomial.of([5]) * u0)
 
 # (1 + U_{-1/2} U_0 U_{1/2}) / 2 is a projection of trace 1/2
 w = Operator.from_terms(
     [(Fraction(1, 2), [], "+1"), (Fraction(1, 2), ["-1/2", "0", "1/2"], "+1")], exact=True
 )
 print("\nprojection?      ", is_projection(w))
-print("normalized trace:", normalized_trace(w))
+print("normalized trace:", w.trace())
 print("support interval: ", support_interval(w))
 
 # every nonidentity monomial is traceless
-print("tr U(0) =", normalized_trace(Operator.generator(0, exact=True)))
+print("tr U(0) =", Operator.generator(0, exact=True).trace())
 
 # the dense-matrix oracle realizes the relations on qubits
 window = (0, Fraction(3, 2))

@@ -29,8 +29,6 @@ from .algebra import (
     commutes,
     is_projection,
     localization,
-    mono_mul,
-    normalized_trace,
     product_trace,
     support_interval,
     to_matrix,
@@ -87,7 +85,7 @@ __all__ = [
     "__version__",
     # algebra
     "DEFAULT_TOL", "GeneratorMonomial", "Operator", "commutes", "is_projection",
-    "localization", "mono_mul", "normalized_trace", "product_trace",
+    "localization", "product_trace",
     "support_interval", "to_matrix", "window_monomials",
     # causal analysis
     "CcsReport", "EnumerationResult", "ProbabilitySpace", "classical_ccs_check",

@@ -46,8 +46,6 @@ from .halfint import double_str, from_double, to_double
 __all__ = [
     "GeneratorMonomial",
     "Operator",
-    "mono_mul",
-    "normalized_trace",
     "product_trace",
     "commutes",
     "is_projection",
@@ -171,11 +169,6 @@ class GeneratorMonomial:
         if not self.sites:
             return prefix + "1" if prefix else "1"
         return prefix + " ".join(f"U({double_str(s)})" for s in self.sites)
-
-
-def mono_mul(m1: GeneratorMonomial, m2: GeneratorMonomial) -> GeneratorMonomial:
-    """Canonical product of two monomials."""
-    return m1 * m2
 
 
 # -- coefficients ------------------------------------------------------------
@@ -433,10 +426,6 @@ class Operator:
 
 
 # -- module-level operations ---------------------------------------------------
-
-
-def normalized_trace(x: Operator):
-    return x.trace()
 
 
 def product_trace(x: Operator, y: Operator):

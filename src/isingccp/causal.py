@@ -58,18 +58,11 @@ __all__ = [
 _TRIVIALITY_LABELS = ("A", "A'", "B", "B'")
 
 
-def _scalar_float(v) -> float:
-    if isinstance(v, ExactScalar):
-        return float(complex(v).real)
-    if isinstance(v, complex):
-        return v.real
-    return float(v)
-
-
-def _scalar_json(v):
-    if isinstance(v, ExactScalar):
-        return {"exact": str(v), "float": _scalar_float(v)}
-    return {"float": _scalar_float(v)}
+def scalar_json(v):
+    """A scalar as its float value, with the exact token too for ExactScalar and Fraction."""
+    if isinstance(v, (ExactScalar, Fraction)):
+        return {"exact": str(v), "float": complex(v).real}
+    return {"float": complex(v).real}
 
 
 @dataclass
@@ -83,8 +76,8 @@ class CellReport:
     def to_dict(self):
         return {
             "index": self.index,
-            "residual": _scalar_json(self.residual),
-            "weight": _scalar_json(self.weight),
+            "residual": scalar_json(self.residual),
+            "weight": scalar_json(self.weight),
             "trivial": self.trivial,
             "trivial_under": list(self.trivial_under),
         }
@@ -109,11 +102,11 @@ class CcsReport:
             "cells": [c.to_dict() for c in self.cells],
         }
         if self.correlation is not None:
-            out["correlation"] = _scalar_json(self.correlation)
+            out["correlation"] = scalar_json(self.correlation)
         if self.extras:
             out["extras"] = {
                 k: (
-                    _scalar_json(v)
+                    scalar_json(v)
                     if isinstance(v, (int, float, complex, ExactScalar, Fraction))
                     and not isinstance(v, bool)
                     else v
@@ -126,7 +119,7 @@ class CcsReport:
 def _residual_is_zero(value, exact: bool, tol: float) -> bool:
     if exact:
         return value == ExactScalar(0) if isinstance(value, ExactScalar) else value == 0
-    return abs(_scalar_float(value)) <= tol
+    return abs(complex(value).real) <= tol
 
 
 # -- classical case ----------------------------------------------------------

@@ -6,31 +6,36 @@ Exit codes: 0 success, 2 schema violation, 3 budget exceeded,
 Scenario files are JSON.  Half-integer coordinates in JSON may be written
 as fraction strings ("3/2", "-1/2") or as doubled integers (3 means 3/2);
 flag values on the command line are always plain fraction strings.
-Reports are deterministic for a fixed (scenario, seed) pair; wall-clock
-timings are only included when requested.
+:func:`parse_scenario` reads and checks every section of a scenario in one
+pass, before anything is computed, so a schema error is always reported
+before a precondition error.  Reports are deterministic for a fixed
+(scenario, seed) pair; wall-clock timings are only included when requested.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from . import __version__
-from .algebra import Operator, localization, normalized_trace
+from .algebra import Operator, localization
 from .causal import (
     commuting_ccs_residuals,
     common_cause_candidate,
     enumerate_commuting_tuples,
     noncommuting_ccs_residuals,
+    scalar_json,
     screening_weight,
 )
 from .dynamics import DynamicsParams, apply_beta, beta_generator_image, check_primitive_causality
-from .errors import BudgetError, ExactnessError, ModeError, PreconditionError, SchemaError
+from .errors import BudgetError, ModeError, PreconditionError, SchemaError
 from .exact import ExactScalar, parse_exact
 from .geometry import DoubleCone, MinimalCone, pasts, spacelike_separated
 from .halfint import double_str
@@ -47,79 +52,79 @@ _EXIT_PRECONDITION = 4
 # -- literals -----------------------------------------------------------------
 
 
-def _coord_from_json(value):
+def _read(value, convert, what: str):
+    """``convert(value)``, any failure raised as a SchemaError.  ExactnessError and
+    ModeError are TypeErrors and PreconditionError is a ValueError, so a literal
+    that a constructor rejects is a schema error too."""
+    try:
+        return convert(value)
+    except SchemaError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SchemaError(f"cannot read {what} {value!r}: {exc}") from exc
+
+
+def _natural(value, least: int = 0) -> int:
+    """An int of at least ``least``."""
+    if int(value) < least:
+        raise ValueError(f"must be at least {least}")
+    return int(value)
+
+
+def _coord(value) -> Fraction:
     """Half-integer from JSON: strings are fractions, bare ints are doubled."""
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value, 2)
-    raise SchemaError(f"half-integer must be a fraction string or doubled integer, got {value!r}")
+    raise TypeError("a half-integer is a fraction string or a doubled integer")
 
 
-def _scalar_from_json(value, exact: bool):
-    if exact:
-        if isinstance(value, str):
-            return parse_exact(value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return ExactScalar(value)
-        raise SchemaError(f"exact mode needs exact tokens, got {value!r}")
+def _scalar(value, exact: bool):
+    """A token string, or a JSON integer (exact mode) or number (float mode)."""
     if isinstance(value, str):
-        try:
-            return float(parse_exact(value))
-        except ExactnessError as exc:
-            raise SchemaError(f"cannot read weight {value!r}") from exc
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise SchemaError(f"cannot read scalar {value!r}")
+        return parse_exact(value) if exact else float(parse_exact(value))
+    if isinstance(value, bool) or not isinstance(value, int if exact else (int, float)):
+        raise TypeError("exact mode needs exact tokens" if exact else "not a scalar")
+    return ExactScalar(value) if exact else float(value)
+
+
+def _term(term, exact: bool):
+    if not isinstance(term, dict) or not {"coeff", "sites"} <= set(term):
+        raise TypeError('a term is {"coeff": ..., "sites": [...], "phase": ...}')
+    if not isinstance(term["sites"], list):
+        raise TypeError("term sites must be a list")
+    return _scalar(term["coeff"], exact), [_coord(s) for s in term["sites"]], term.get("phase", "+1")
 
 
 def operator_from_literal(terms, exact: bool) -> Operator:
     """Operator from a list of {"coeff": ..., "sites": [...], "phase": ...}."""
     if not isinstance(terms, list) or not terms:
         raise SchemaError("operator literal must be a non-empty list of terms")
-    parsed = []
-    for term in terms:
-        if not isinstance(term, dict) or "coeff" not in term or "sites" not in term:
-            raise SchemaError(f"malformed operator term {term!r}")
-        coeff = _scalar_from_json(term["coeff"], exact)
-        sites = [_coord_from_json(s) for s in term["sites"]]
-        parsed.append((coeff, sites, term.get("phase", "+1")))
-    return Operator.from_terms(parsed, exact=exact)
+    return _read(terms, lambda ts: Operator.from_terms([_term(t, exact) for t in ts], exact=exact),
+                 "operator literal")
 
 
 def region_from_literal(spec) -> DoubleCone:
     if not isinstance(spec, dict) or not {"t", "i", "j"} <= set(spec):
         raise SchemaError('region literal must be {"t": ..., "i": ..., "j": ...}')
-    if not isinstance(spec["t"], int):
+    if not isinstance(spec["t"], int) or isinstance(spec["t"], bool):
         raise SchemaError("region t must be an integer translate label")
-    return DoubleCone.span(spec["t"], _coord_from_json(spec["i"]), _coord_from_json(spec["j"]))
+    return _read(spec, lambda s: DoubleCone.span(s["t"], _coord(s["i"]), _coord(s["j"])), "region")
 
 
-def _section(scenario: dict, name: str) -> dict:
-    value = scenario.get(name, {})
-    if not isinstance(value, dict):
-        raise SchemaError(f"{name} must be an object")
-    return value
-
-
-def _number(cfg: dict, key: str, default, kind=int):
-    value = cfg.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{key} must be a number, got {value!r}") from exc
-
-
-def _parse_cone_flag(text: str):
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        if len(parts) == 2:
-            return MinimalCone.at(Fraction(parts[0]), Fraction(parts[1]))
-        if len(parts) == 3:
-            return DoubleCone.span(int(parts[0]), Fraction(parts[1]), Fraction(parts[2]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"cannot parse cone {text!r}") from exc
-    raise SchemaError(f"cone flag needs 't,x' or 't,i,j', got {text!r}")
+def _cone(value):
+    """A cone from a region object, or from a 't,x' / 't,i,j' string."""
+    if isinstance(value, dict):
+        return region_from_literal(value)
+    if not isinstance(value, str):
+        raise TypeError("a cone is a region object or a 't,x' / 't,i,j' string")
+    parts = value.split(",")
+    if len(parts) == 2:
+        return MinimalCone.at(Fraction(parts[0]), Fraction(parts[1]))
+    if len(parts) == 3:
+        return DoubleCone.span(int(parts[0]), Fraction(parts[1]), Fraction(parts[2]))
+    raise ValueError("a cone string is 't,x' or 't,i,j'")
 
 
 _COMPACT_HELP = 'e.g. "U0", "U-1/2 U0 U1/2", "0.5 + 0.5 U(-1/2) U(0) U(1/2)"'
@@ -137,28 +142,11 @@ def operator_from_compact(text: str) -> Operator:
             raise SchemaError(f"malformed operator text {text!r}")
         tokens = re.findall(r"U\(?(-?\d+(?:/\d+)?)\)?", chunk)
         head = re.split(r"U", chunk, maxsplit=1)[0].strip().rstrip("*").strip()
-        if head:
-            try:
-                coeff = float(Fraction(head))
-            except ValueError as exc:
-                raise SchemaError(f"cannot parse coefficient {head!r}; {_COMPACT_HELP}") from exc
-        else:
-            coeff = 1.0
         if not tokens and not head:
             raise SchemaError(f"malformed operator term {chunk!r}")
+        coeff = _read(head, lambda h: float(Fraction(h)), f"coefficient ({_COMPACT_HELP})") if head else 1.0
         terms.append((coeff, [Fraction(t) for t in tokens], "+1"))
     return Operator.from_terms(terms)
-
-
-def scalar_json(value):
-    """Serialize a scalar as exact token plus float, or float alone."""
-    if isinstance(value, ExactScalar):
-        return {"exact": str(value), "float": float(complex(value).real)}
-    if isinstance(value, complex):
-        return {"float": value.real}
-    if isinstance(value, Fraction):
-        return {"exact": str(value), "float": float(value)}
-    return {"float": float(value)}
 
 
 def _operator_json(op: Operator):
@@ -183,9 +171,16 @@ def _cone_json(cone: DoubleCone):
 
 
 _BUNDLED = {"common-cause-demo", "uncorrelated"}
+_ANALYSES = {"correlation", "screening-weight", "enumerate-commuting", "family-residuals",
+             "solve-noncommuting", "geometry"}
+_PAST_MODES = ("weak", "common", "strong")
+_PLOT_POINTS = {"family_grid": 16, "weight_sweep": 41}
+_EXACT_FAMILY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                 ["3/5", "4/5", "0"], ["3/5", "0", "4/5"], ["0", "3/5", "4/5"]]
 
 
-def load_scenario(path_or_name: str) -> dict:
+def load_scenario(path_or_name: str):
+    """The parsed JSON of a bundled scenario or a scenario file."""
     if path_or_name in _BUNDLED:
         text = (
             resources.files("isingccp")
@@ -199,98 +194,186 @@ def load_scenario(path_or_name: str) -> dict:
         except OSError as exc:
             raise SchemaError(f"cannot read scenario {path_or_name!r}: {exc}") from exc
     try:
-        scenario = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(scenario, dict):
-        raise SchemaError("scenario must be a JSON object")
-    return scenario
 
 
-def _dynamics_from_scenario(scenario: dict) -> DynamicsParams:
-    d = scenario.get("dynamics", {})
-    if not isinstance(d, dict):
-        raise SchemaError("dynamics must be an object")
-    try:
-        return DynamicsParams(
-            d.get("theta1", "0"), d.get("theta2", "0"),
-            int(d.get("eta1", 1)), int(d.get("eta2", 1)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad dynamics parameters: {exc}") from exc
+class Scenario(NamedTuple):
+    """A scenario read and checked by :func:`parse_scenario`.
+
+    ``events`` holds the surface operators of A and B with their times.
+    ``enumeration`` is ``(k, budget, sector_size)``, ``geometry`` holds
+    ``(a, b, mode, probe)`` pasts queries and ``plots`` maps each plot to
+    ``(points, file name)``.  ``raw`` is kept only to echo it in the report.
+    """
+
+    mode: str
+    seed: int
+    params: DynamicsParams
+    events: tuple
+    weights: dict
+    analyses: frozenset
+    enumeration: tuple
+    family: tuple
+    window: DoubleCone
+    solver: SolverConfig
+    geometry: tuple
+    plots: dict
+    partition: tuple | None
+    report: str | None
+    raw: dict
+
+    @property
+    def exact(self) -> bool:
+        return self.mode == "exact"
 
 
-def _event_from_scenario(spec, params: DynamicsParams, exact: bool) -> Operator:
-    if not isinstance(spec, dict):
-        raise SchemaError("event must be an object")
+def _section(raw: dict, name: str, default=None, kind=dict):
+    value = raw.get(name, kind() if default is None else default)
+    if not isinstance(value, kind):
+        raise SchemaError(f"{name} must be {'an object' if kind is dict else 'a list'}")
+    return value
+
+
+def _env_default(name: str, fallback: int) -> int:
+    return _read(os.environ.get(name) or fallback, int, name)
+
+
+def _dynamics(d) -> DynamicsParams:
+    return DynamicsParams(d.get("theta1", "0"), d.get("theta2", "0"),
+                          int(d.get("eta1", 1)), int(d.get("eta2", 1)))
+
+
+def _event(spec, exact: bool) -> tuple:
+    """(surface operator, time); a site event is (1 + U_site)/2."""
+    if not isinstance(spec, dict) or not {"site", "terms"} & set(spec):
+        raise SchemaError('an event is {"site": ..., "time": ...} or {"terms": [...], "time": ...}')
+    t = spec.get("time", 1 if "site" in spec else 0)
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        raise SchemaError("event time must be a nonnegative integer")
     if "site" in spec:
-        site = _coord_from_json(spec["site"])
-        t = spec.get("time", 1)
-        if not isinstance(t, int) or t < 0:
-            raise SchemaError("event time must be a nonnegative integer")
-        half = Fraction(1, 2)
-        base = Operator.from_terms([(half, [], "+1"), (half, [site], "+1")], exact=exact)
-        return apply_beta(params, base, t)
-    if "terms" in spec:
-        op = operator_from_literal(spec["terms"], exact)
-        t = spec.get("time", 0)
-        if t:
-            op = apply_beta(params, op, int(t))
-        return op
-    raise SchemaError('event needs either {"site", "time"} or {"terms"}')
+        terms = [{"coeff": "1/2", "sites": []}, {"coeff": "1/2", "sites": [spec["site"]]}]
+    else:
+        terms = spec["terms"]
+    return operator_from_literal(terms, exact), t
 
 
-def build_state_from_scenario(scenario: dict):
-    exact = scenario.get("mode", "exact") == "exact"
-    if scenario.get("mode", "exact") not in ("exact", "float"):
+def _enumeration(cfg: dict) -> tuple:
+    size = cfg.get("sector_size")
+    return (int(cfg.get("k", 2)), int(cfg.get("budget", _env_default("ISINGCCP_BUDGET", 5_000_000))),
+            None if size is None else int(size))
+
+
+def _family(cfg: dict, exact: bool, seed: int) -> tuple:
+    coeffs = cfg.get("coefficients")
+    if coeffs is None and exact:
+        coeffs = _EXACT_FAMILY
+    elif coeffs is None:
+        import numpy as np
+
+        vecs = np.random.default_rng(seed).normal(size=(6, 3))
+        coeffs = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tolist()
+    if not isinstance(coeffs, list) or not all(isinstance(e, list) and len(e) == 3 for e in coeffs):
+        raise TypeError("family coefficients must be a list of triples")
+    if exact:
+        return tuple(tuple(Fraction(v) for v in entry) for entry in coeffs)
+    return tuple(tuple(float(Fraction(v)) if isinstance(v, str) else float(v) for v in entry)
+                 for entry in coeffs)
+
+
+def _solver(cfg: dict, seed: int) -> SolverConfig:
+    rank = cfg.get("rank")
+    return SolverConfig(
+        seed=_natural(cfg.get("seed", seed)),
+        restarts=int(cfg.get("restarts", 20)),
+        max_iters=_natural(cfg.get("max_iters", 400), 1),
+        tol=float(cfg.get("tol", 1e-8)),
+        rank=None if rank is None else int(rank),
+        commuting_constraint=bool(cfg.get("commuting_constraint", False)),
+        max_window_qubits=int(cfg.get("max_window_qubits", _env_default("ISINGCCP_MAX_QUBITS", 10))),
+    )
+
+
+def _pasts_query(query) -> tuple:
+    if not isinstance(query, dict) or query.get("op") != "pasts":
+        raise SchemaError(f"unknown geometry query {query!r}")
+    if not {"a", "b"} <= set(query):
+        raise SchemaError('a pasts query needs cones "a" and "b"')
+    mode = query.get("mode", "common")
+    if mode not in _PAST_MODES:
+        raise SchemaError(f"unknown past mode {mode!r}; use weak, common or strong")
+    probe = _read(query["contains"], _cone, "cone") if "contains" in query else None
+    return _read(query["a"], _cone, "cone"), _read(query["b"], _cone, "cone"), mode, probe
+
+
+def _plot(name: str, cfg) -> tuple:
+    if name not in _PLOT_POINTS or not isinstance(cfg, dict) or not isinstance(cfg.get("path", ""), str):
+        raise ValueError('plots are "family_grid" and "weight_sweep", each {"n": ..., "path": ...}')
+    return int(cfg.get("n", _PLOT_POINTS[name])), cfg.get("path", f"{name}.csv")
+
+
+def parse_scenario(raw) -> Scenario:
+    """Read and check every section of a scenario, requested by an analysis or not.
+
+    Raises SchemaError, and only SchemaError, for any malformed value.
+    """
+    if not isinstance(raw, dict):
+        raise SchemaError("scenario must be a JSON object")
+    mode = raw.get("mode", "exact")
+    if mode not in ("exact", "float"):
         raise SchemaError('mode must be "exact" or "float"')
-    params = _dynamics_from_scenario(scenario)
-    events = scenario.get("events")
+    exact = mode == "exact"
+    seed = _read(raw.get("seed", 0), _natural, "seed")
+    events = raw.get("events")
     if not isinstance(events, dict) or not {"A", "B"} <= set(events):
-        raise SchemaError('scenario needs events A and B')
-    a = _event_from_scenario(events["A"], params, exact)
-    b = _event_from_scenario(events["B"], params, exact)
-    weights = scenario.get("weights")
+        raise SchemaError("scenario needs events A and B")
+    weights = raw.get("weights")
     if not isinstance(weights, dict) or set(weights) != set(SECTORS):
         raise SchemaError(f"weights must carry exactly the sector keys {list(SECTORS)}")
-    w = {k: _scalar_from_json(weights[k], exact) for k in SECTORS}
-    return build_lambda_state(a, b, w), params, exact
+    analyses = _section(raw, "analyses", ["correlation"], list)
+    if not all(isinstance(name, str) for name in analyses) or not set(analyses) <= _ANALYSES:
+        raise SchemaError(f"analyses must be a list of names from {sorted(_ANALYSES)}")
+    partition = raw.get("partition")
+    if partition is not None and not isinstance(partition, list):
+        raise SchemaError("partition must be a list of operator literals")
+    report = raw.get("report")
+    if report is not None and not isinstance(report, str):
+        raise SchemaError("report must be a path")
+    return Scenario(
+        mode=mode,
+        seed=seed,
+        params=_read(_section(raw, "dynamics"), _dynamics, "dynamics"),
+        events=(_event(events["A"], exact), _event(events["B"], exact)),
+        weights={k: _read(weights[k], lambda v: _scalar(v, exact), f"weight {k}") for k in SECTORS},
+        analyses=frozenset(analyses),
+        enumeration=_read(_section(raw, "enumerate"), _enumeration, "enumerate"),
+        family=_read(_section(raw, "family"), lambda cfg: _family(cfg, exact, seed), "family"),
+        window=_read(raw.get("window", {"t": 0, "i": "0", "j": "1"}), region_from_literal, "window"),
+        solver=_read(_section(raw, "solver"), lambda cfg: _solver(cfg, seed), "solver"),
+        geometry=tuple(_pasts_query(query) for query in _section(raw, "geometry", kind=list)),
+        plots={name: _read(cfg, lambda c: _plot(name, c), f"plot {name}")
+               for name, cfg in _section(raw, "plots").items()},
+        partition=None if partition is None else tuple(
+            operator_from_literal(cell, exact) for cell in partition),
+        report=report,
+        raw=raw,
+    )
+
+
+def build_state_from_scenario(scenario: Scenario):
+    """Evolve the two events and build the sector-weighted state."""
+    (a, t_a), (b, t_b) = scenario.events
+    return build_lambda_state(apply_beta(scenario.params, a, t_a),
+                              apply_beta(scenario.params, b, t_b), scenario.weights)
 
 
 # -- analyses ---------------------------------------------------------------------
 
 
-def _family_triples(scenario: dict, exact: bool):
-    coeffs = _section(scenario, "family").get("coefficients")
-    if coeffs is None:
-        if exact:
-            coeffs = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
-                      ["3/5", "4/5", "0"], ["3/5", "0", "4/5"], ["0", "3/5", "4/5"]]
-        else:
-            import numpy as np
-
-            rng = np.random.default_rng(int(scenario.get("seed", 0)))
-            vecs = rng.normal(size=(6, 3))
-            coeffs = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tolist()
-    elif not isinstance(coeffs, list):
-        raise SchemaError("family coefficients must be a list of triples")
-    triples = []
-    for entry in coeffs:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise SchemaError("family coefficients must be triples")
-        try:
-            if exact:
-                triples.append(tuple(Fraction(v) for v in entry))
-            else:
-                triples.append(tuple(float(Fraction(v)) if isinstance(v, str) else float(v) for v in entry))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise SchemaError(f"cannot read family coefficients {entry!r}") from exc
-    return triples
-
-
-def _analysis_family(state, scenario, exact):
+def _analysis_family(state, triples, exact):
     out = []
-    for triple in _family_triples(scenario, exact):
+    for triple in triples:
         c = common_cause_candidate(*triple, exact=exact)
         part = PartitionOfUnity([c, Operator.identity(exact) - c])
         report = noncommuting_ccs_residuals(state, part)
@@ -304,22 +387,9 @@ def _analysis_family(state, scenario, exact):
     return out
 
 
-def _env_default(name: str, fallback: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return fallback
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise SchemaError(f"{name} must be an integer, got {value!r}") from exc
-
-
-def _analysis_enumerate(state, scenario):
-    enum_cfg = _section(scenario, "enumerate")
-    k = _number(enum_cfg, "k", 2)
-    budget = _number(enum_cfg, "budget", _env_default("ISINGCCP_BUDGET", 5_000_000))
-    if "sector_size" in enum_cfg:
-        m = [_number(enum_cfg, "sector_size", None)] * 4
+def _analysis_enumerate(state, k, budget, sector_size):
+    if sector_size is not None:
+        m = [sector_size] * 4
     else:
         sizes = state.sector_sizes()
         m = [sizes[k2] for k2 in SECTORS]
@@ -339,21 +409,7 @@ def _analysis_enumerate(state, scenario):
     }
 
 
-def _analysis_solver(state, scenario):
-    cfg_in = _section(scenario, "solver")
-    window = scenario.get("window", {"t": 0, "i": "0", "j": "1"})
-    cone = region_from_literal(window)
-    cfg = SolverConfig(
-        seed=_number(cfg_in, "seed", scenario.get("seed", 0)),
-        restarts=_number(cfg_in, "restarts", 20),
-        max_iters=_number(cfg_in, "max_iters", 400),
-        tol=_number(cfg_in, "tol", 1e-8, float),
-        rank=None if cfg_in.get("rank") is None else _number(cfg_in, "rank", None),
-        commuting_constraint=bool(cfg_in.get("commuting_constraint", False)),
-        max_window_qubits=_number(
-            cfg_in, "max_window_qubits", _env_default("ISINGCCP_MAX_QUBITS", 10)
-        ),
-    )
+def _analysis_solver(state, cone: DoubleCone, cfg: SolverConfig):
     candidates = solve_noncommuting_cc(state, cone, cfg)
     return {
         "window": _cone_json(cone),
@@ -369,30 +425,6 @@ def _analysis_solver(state, scenario):
     }
 
 
-def _cone_from_json(value):
-    if isinstance(value, dict):
-        return region_from_literal(value)
-    if isinstance(value, str):
-        return _parse_cone_flag(value)
-    raise SchemaError(f"cone must be a region object or a 't,x' / 't,i,j' string, got {value!r}")
-
-
-def _analysis_geometry(scenario):
-    queries = scenario.get("geometry", [])
-    if not isinstance(queries, list):
-        raise SchemaError("geometry must be a list of queries")
-    out = []
-    for query in queries:
-        if not isinstance(query, dict) or query.get("op") != "pasts":
-            raise SchemaError(f"unknown geometry query {query!r}")
-        if not {"a", "b"} <= set(query):
-            raise SchemaError('a pasts query needs cones "a" and "b"')
-        a, b = _cone_from_json(query["a"]), _cone_from_json(query["b"])
-        probe = _cone_from_json(query["contains"]) if "contains" in query else None
-        out.append(_pasts_entry(a, b, query.get("mode", "common"), probe))
-    return out
-
-
 def _pasts_entry(a, b, mode: str, probe) -> dict:
     """The past of two cones, and whether it contains the probe cone if one is given."""
     region = pasts(a, b, mode)
@@ -404,21 +436,15 @@ def _pasts_entry(a, b, mode: str, probe) -> dict:
     return entry
 
 
-def _write_plots(state, scenario, exact, report_dir):
+def _write_plots(state, plots: dict, report_dir):
     import csv
     import math
 
-    plots = scenario.get("plots", {})
+    fstate = state.to_float()
     written = []
     if "family_grid" in plots:
-        cfg = plots["family_grid"]
-        n = int(cfg.get("n", 16))
-        path = os.path.join(report_dir, cfg.get("path", "family_grid.csv"))
-        fstate = state if not exact else None
-        if fstate is None:
-            from .search import _float_state
-
-            fstate = _float_state(state)
+        n, name = plots["family_grid"]
+        path = os.path.join(report_dir, name)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["a1", "a2", "a3", "residual_C", "residual_Cperp"])
@@ -446,17 +472,15 @@ def _write_plots(state, scenario, exact, report_dir):
             )
         written.extend([path, gp])
     if "weight_sweep" in plots:
-        cfg = plots["weight_sweep"]
-        n = int(cfg.get("n", 41))
-        path = os.path.join(report_dir, cfg.get("path", "weight_sweep.csv"))
+        n, name = plots["weight_sweep"]
+        path = os.path.join(report_dir, name)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["shift", "correlation"])
             for k in range(n):
                 s = 0.24 * k / max(n - 1, 1)
                 w = {"AB": 0.25, "ApBp": 0.25, "ABp": 0.25 + s, "ApB": 0.25 - s}
-                st = build_lambda_state(state.a.to_float() if exact else state.a,
-                                        state.b.to_float() if exact else state.b, w)
+                st = build_lambda_state(fstate.a, fstate.b, w)
                 writer.writerow([f"{s:.12g}", f"{correlation(st).real:.17g}"])
         written.append(path)
     return written
@@ -464,9 +488,14 @@ def _write_plots(state, scenario, exact, report_dir):
 
 def run_scenario(path_or_name: str, out_path=None, timings: bool = False) -> dict:
     """Execute a scenario and return (and optionally write) its report."""
-    scenario = load_scenario(path_or_name)
+    return _run(parse_scenario(load_scenario(path_or_name)), out_path, timings)
+
+
+def _run(scenario: Scenario, out_path, timings: bool) -> dict:
+    """The report of a parsed scenario, written when an output path is set."""
     t_start = time.perf_counter()
-    state, params, exact = build_state_from_scenario(scenario)
+    state = build_state_from_scenario(scenario)
+    exact, analyses = scenario.exact, scenario.analyses
     clocks = {}
 
     results = {}
@@ -486,16 +515,7 @@ def run_scenario(path_or_name: str, out_path=None, timings: bool = False) -> dic
         no_corr = abs(corr.real if isinstance(corr, complex) else float(corr)) < 1e-15
     results["no_correlation"] = bool(no_corr)
 
-    analyses = scenario.get("analyses", ["correlation"])
-    if not isinstance(analyses, list):
-        raise SchemaError("analyses must be a list")
-    known = {"correlation", "screening-weight", "enumerate-commuting", "family-residuals",
-             "solve-noncommuting", "geometry"}
-    unknown = set(analyses) - known
-    if unknown:
-        raise SchemaError(f"unknown analyses: {sorted(unknown)}")
-
-    if no_corr and ({"enumerate-commuting", "family-residuals", "solve-noncommuting"} & set(analyses)):
+    if no_corr and ({"enumerate-commuting", "family-residuals", "solve-noncommuting"} & analyses):
         results["note"] = "no correlation to explain; common-cause analyses skipped"
 
     if "screening-weight" in analyses:
@@ -509,36 +529,36 @@ def run_scenario(path_or_name: str, out_path=None, timings: bool = False) -> dic
         clocks["screening_weight"] = time.perf_counter() - t0
     if "enumerate-commuting" in analyses and not no_corr:
         t0 = time.perf_counter()
-        results["enumerate_commuting"] = _analysis_enumerate(state, scenario)
+        results["enumerate_commuting"] = _analysis_enumerate(state, *scenario.enumeration)
         clocks["enumerate_commuting"] = time.perf_counter() - t0
     if "family-residuals" in analyses and not no_corr:
         t0 = time.perf_counter()
-        results["family_residuals"] = _analysis_family(state, scenario, exact)
+        results["family_residuals"] = _analysis_family(state, scenario.family, exact)
         clocks["family_residuals"] = time.perf_counter() - t0
     if "solve-noncommuting" in analyses and not no_corr:
         t0 = time.perf_counter()
-        results["solver"] = _analysis_solver(state, scenario)
+        results["solver"] = _analysis_solver(state, scenario.window, scenario.solver)
         clocks["solver"] = time.perf_counter() - t0
     if "geometry" in analyses:
-        results["geometry"] = _analysis_geometry(scenario)
+        results["geometry"] = [_pasts_entry(*query) for query in scenario.geometry]
 
     report = {
         "tool": {"name": "isingccp", "version": __version__},
-        "mode": "exact" if exact else "float",
-        "seed": scenario.get("seed", 0),
-        "scenario": scenario,
+        "mode": scenario.mode,
+        "seed": scenario.seed,
+        "scenario": scenario.raw,
         "results": results,
     }
     if timings:
         clocks["total"] = time.perf_counter() - t_start
         report["timings"] = clocks
 
-    out_path = out_path or scenario.get("report")
+    out_path = out_path or scenario.report
     if out_path:
         report_dir = os.path.dirname(os.path.abspath(out_path))
         os.makedirs(report_dir, exist_ok=True)
-        if scenario.get("plots"):
-            report["plots"] = _write_plots(state, scenario, exact, report_dir)
+        if scenario.plots:
+            report["plots"] = _write_plots(state, scenario.plots, report_dir)
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -549,18 +569,20 @@ def run_scenario(path_or_name: str, out_path=None, timings: bool = False) -> dic
 
 
 def _cmd_run(args) -> int:
-    report = run_scenario(args.scenario, args.out, args.timings)
-    if not args.out and not report["scenario"].get("report"):
+    scenario = parse_scenario(load_scenario(args.scenario))
+    report = _run(scenario, args.out, args.timings)
+    out_path = args.out or scenario.report
+    if out_path:
+        print(f"report written to {out_path}")
+    else:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-    else:
-        print(f"report written to {args.out or report['scenario'].get('report')}")
     return 0
 
 
 def _cmd_geom_pasts(args) -> int:
-    a, b = _parse_cone_flag(args.a), _parse_cone_flag(args.b)
-    probe = _parse_cone_flag(args.contains) if args.contains else None
+    a, b = _read(args.a, _cone, "--a"), _read(args.b, _cone, "--b")
+    probe = _read(args.contains, _cone, "--contains") if args.contains else None
     json.dump(_pasts_entry(a, b, args.mode, probe), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
@@ -570,22 +592,19 @@ def _cmd_algebra_trace(args) -> int:
     if not args.op and not args.op_json:
         raise SchemaError("pass --op or --op-json")
     if args.op_json:
-        try:
-            literal = json.loads(args.op_json)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"--op-json is not valid JSON: {exc}") from exc
-        op = operator_from_literal(literal, exact=args.exact)
+        op = operator_from_literal(_read(args.op_json, json.loads, "--op-json"), exact=args.exact)
     else:
         op = operator_from_compact(args.op)
-    tr = normalized_trace(op)
-    json.dump({"operator": str(op), "trace": scalar_json(tr)}, sys.stdout, indent=2, sort_keys=True)
+    json.dump({"operator": str(op), "trace": scalar_json(op.trace())}, sys.stdout,
+              indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
 
 def _cmd_dynamics_beta(args) -> int:
-    params = DynamicsParams(args.theta1, args.theta2, args.eta1, args.eta2)
-    site = Fraction(args.site)
+    params = _read((args.theta1, args.theta2, args.eta1, args.eta2), lambda a: DynamicsParams(*a),
+                   "--theta1/--theta2/--eta1/--eta2")
+    site = _read(args.site, Fraction, "--site")
     img = beta_generator_image(params, site, exact=args.exact)
     if args.json:
         out = {
@@ -604,18 +623,12 @@ def _cmd_dynamics_beta(args) -> int:
     return 0
 
 
-def _partition_from_scenario(scenario, state, exact):
-    literal = scenario.get("partition")
-    if literal is None:
-        raise SchemaError('this command needs a "partition" entry in the scenario')
-    cells = [operator_from_literal(cell, exact) for cell in literal]
-    return PartitionOfUnity(cells)
-
-
 def _cmd_ccp_check(args) -> int:
-    scenario = load_scenario(args.scenario)
-    state, _, exact = build_state_from_scenario(scenario)
-    part = _partition_from_scenario(scenario, state, exact)
+    scenario = parse_scenario(load_scenario(args.scenario))
+    if scenario.partition is None:
+        raise SchemaError('this command needs a "partition" entry in the scenario')
+    state = build_state_from_scenario(scenario)
+    part = PartitionOfUnity(scenario.partition)
     if args.noncommuting:
         report = noncommuting_ccs_residuals(state, part)
     else:
@@ -626,13 +639,10 @@ def _cmd_ccp_check(args) -> int:
 
 
 def _cmd_ccp_enumerate(args) -> int:
-    weights = [parse_exact(tok) for tok in args.weights.split(",")]
+    weights = [_read(tok, parse_exact, "--weights") for tok in args.weights.split(",")]
     if len(weights) != 4:
         raise SchemaError("--weights needs four comma-separated exact tokens")
-    try:
-        m = [int(v) for v in args.m.split(",")]
-    except ValueError as exc:
-        raise SchemaError(f"--m needs comma-separated integers, got {args.m!r}") from exc
+    m = _read(args.m, lambda text: [int(v) for v in text.split(",")], "--m")
     if len(m) == 1:
         m = m * 4
     result = enumerate_commuting_tuples(weights, m, args.k, budget=args.budget)
@@ -648,16 +658,17 @@ def _cmd_ccp_enumerate(args) -> int:
 
 
 def _cmd_ccp_solve(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = parse_scenario(load_scenario(args.scenario))
+    flags = {}
     if args.restarts is not None:
-        scenario.setdefault("solver", {})["restarts"] = args.restarts
+        flags["restarts"] = args.restarts
     if args.commuting:
-        scenario.setdefault("solver", {})["commuting_constraint"] = True
+        flags["commuting_constraint"] = True
     if args.seed is not None:
-        scenario.setdefault("solver", {})["seed"] = args.seed
-    state, _, exact = build_state_from_scenario(scenario)
-    result = _analysis_solver(state, scenario)
-    json.dump(result, sys.stdout, indent=2, sort_keys=True)
+        flags["seed"] = _read(args.seed, _natural, "--seed")
+    state = build_state_from_scenario(scenario)
+    cfg = dataclasses.replace(scenario.solver, **flags)
+    json.dump(_analysis_solver(state, scenario.window, cfg), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 

@@ -34,7 +34,7 @@ from .causal import noncommuting_ccs_residuals
 from .errors import BudgetError, PreconditionError
 from .geometry import DoubleCone, pasts
 from .halfint import from_double, to_double
-from .states import SECTORS, LambdaState, PartitionOfUnity, build_lambda_state
+from .states import SECTORS, LambdaState, PartitionOfUnity
 
 __all__ = ["SolverConfig", "Candidate", "solve_noncommuting_cc"]
 
@@ -93,16 +93,6 @@ class Candidate:
         }
 
 
-def _float_state(state: LambdaState) -> LambdaState:
-    if not state.exact:
-        return state
-    return build_lambda_state(
-        state.a.to_float(),
-        state.b.to_float(),
-        {k: float(w) for k, w in state.weights.items()},
-    )
-
-
 def _selfadjoint_basis(sites: list[int]) -> list[Operator]:
     """Hermitian monomial basis of the window algebra, identity excluded."""
     return [
@@ -138,7 +128,7 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
     also commute with both events.
     """
     cfg = config or SolverConfig()
-    fstate = _float_state(state)
+    fstate = state.to_float()
     sites = _window_sites(window)
 
     a_loc = localization(fstate.a)

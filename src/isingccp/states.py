@@ -167,6 +167,13 @@ class LambdaState:
             out[label] = int(m)
         return out
 
+    def to_float(self) -> "LambdaState":
+        """The same state in float mode; a float state is returned as it is."""
+        if not self.exact:
+            return self
+        return build_lambda_state(self.a.to_float(), self.b.to_float(),
+                                  {k: float(w) for k, w in self.weights.items()})
+
     def density_matrix(self, window):
         """Density of the state restricted to a matrix window."""
         import numpy as np

@@ -1,8 +1,10 @@
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isingccp.cli import (
     main,
@@ -150,6 +152,16 @@ def test_missing_weights_is_schema_error(tmp_path):
     {"analyses": ["family-residuals"], "family": {"coefficients": [[1e400, 0, 1]]}},
     {"mode": "float", "analyses": ["family-residuals"],
      "family": {"coefficients": [["1e400", "0", "1"]]}},
+    {"events": {"A": {"site": "x", "time": 1}, "B": {"site": "1", "time": 1}}},
+    {"events": {"A": {"site": "0", "time": 1},
+                "B": {"terms": [{"coeff": "1/2", "sites": ["1"]}], "time": "x"}}},
+    {"events": {"A": {"site": "0", "time": 1}, "B": {"terms": [{"coeff": "1/2", "sites": 3}]}}},
+    {"plots": {"weight_sweep": {"n": "x"}}},
+    {"analyses": [[1]]},
+    {"analyses": ["solve-noncommuting"], "solver": {"seed": -1}},
+    {"weights": {"AB": "1/4", "ApBp": "x", "ABp": "1/4+pi/20", "ApB": "1/4-pi/20"}},
+    # no requested analysis reads the enumerate section
+    {"analyses": ["correlation"], "enumerate": {"k": "x"}},
 ])
 def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     scenario = {
@@ -161,6 +173,69 @@ def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario))
     assert run_cli("run", str(path)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ccp", "enumerate", "--weights", "1/4,x,1/4,1/4", "--m", "4"],
+    ["dynamics", "beta", "--site", "x"],
+    ["algebra", "trace", "--op-json", '[{"coeff":"1/2","sites":5}]'],
+])
+def test_malformed_flag_is_schema_error(argv):
+    assert run_cli(*argv) == 2
+
+
+_CHEAP_SCENARIO = {
+    "mode": "exact",
+    "seed": 1,
+    "dynamics": {"theta1": "0", "theta2": "0", "eta1": 1, "eta2": 1},
+    "events": {"A": {"site": "0", "time": 1},
+               "B": {"terms": [{"coeff": "1/2", "sites": [], "phase": "+1"},
+                               {"coeff": "1/2", "sites": ["1/2", "1", "3/2"], "phase": "+1"}],
+                     "time": 0}},
+    "weights": {"AB": "1/4", "ApBp": "1/4", "ABp": "1/4+pi/20", "ApB": "1/4-pi/20"},
+    "analyses": ["correlation", "screening-weight", "enumerate-commuting", "family-residuals",
+                 "solve-noncommuting", "geometry"],
+    "enumerate": {"k": 2, "sector_size": 2},
+    "family": {"coefficients": [["3/5", "4/5", "0"]]},
+    "window": {"t": 0, "i": "0", "j": "1"},
+    "solver": {"restarts": 1, "max_iters": 2, "seed": 0, "tol": 1e-8},
+    "geometry": [{"op": "pasts", "mode": "common", "a": "1,0", "b": "1,1",
+                  "contains": {"t": 0, "i": "0", "j": "1"}}],
+    "plots": {"weight_sweep": {"n": 2}},
+}
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# small JSON values: drawn objects never carry a "report" or plot "path" key
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | st.sampled_from(["", "x", "0", "1", "-1/2", "3/2", "pi/2", "1/4+pi/20", "1,0", "0,0,1",
+                       "float", "common"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["t", "i", "j", "n", "k", "op", "a", "b", "site", "time", "terms",
+                         "coeff", "sites"]), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_paths(_CHEAP_SCENARIO))), value=_JSON)
+def test_any_json_value_ends_with_a_documented_exit_code(tmp_path, path, value):
+    scenario = copy.deepcopy(_CHEAP_SCENARIO)
+    node = scenario
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(scenario))
+    assert run_cli("run", str(file), "--out", str(tmp_path / "report.json")) in (0, 2, 3, 4)
 
 
 def test_weight_violation_is_precondition_error(tmp_path):
