@@ -5,16 +5,16 @@ half-integer x, plus all integer time translates.  Every causal query is an
 exact integer test on light-cone coordinates.
 """
 
-from isingccp import DoubleCone, MinimalCone, causal_past, pasts, spacelike_separated
+from isingccp import DoubleCone, causal_past, pasts, spacelike_separated
 
-a = MinimalCone.at(1, 0)
-b = MinimalCone.at(1, 1)
+a = DoubleCone.minimal(1, 0)
+b = DoubleCone.minimal(1, 1)
 print(f"{a} and {b} spacelike separated? {spacelike_separated(a, b)}")
 print(f"{a} and itself?                  {spacelike_separated(a, a)}")
 
-origin = MinimalCone.at(0, 0)
-print(f"\n{origin} lies in the causal past of {a}? {causal_past(a).contains_cone(origin)}")
-print(f"far cone O^m(0,5) does?          {causal_past(a).contains_cone(MinimalCone.at(0, 5))}")
+origin = DoubleCone.minimal(0, 0)
+print(f"\n{origin} lies in the causal past of {a}? {causal_past(a).contains(origin)}")
+print(f"far cone O^m(0,5) does?          {causal_past(a).contains(DoubleCone.minimal(0, 5))}")
 
 # The two events of the standard correlated pair sit at (1,0) and (1,1).
 # Their common past contains the surface double cone over sites 0..1,
@@ -24,7 +24,7 @@ common = pasts(a, b, "common")
 strong = pasts(a, b, "strong")
 weak = pasts(a, b, "weak")
 print(f"\ncommon past apexes: {sorted(common.apexes)} (doubled light-cone coords)")
-print(f"common past contains {shared}? {common.contains_double_cone(shared)}")
+print(f"common past contains {shared}? {common.contains(shared)}")
 print(f"strong past equals common past? {strong == common}")
 print(f"weak contains common contains strong? "
       f"{weak.contains_region(common) and common.contains_region(strong)}")

@@ -9,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 
 from isingccp import (
-    GeneratorMonomial,
     Operator,
     commutes,
     is_projection,
@@ -19,13 +18,18 @@ from isingccp import (
 
 half = Fraction(1, 2)
 
-u0 = GeneratorMonomial.of([0])
-uh = GeneratorMonomial.of([half])
+
+def word(sites):
+    """A word in the generators, as a one-term exact operator."""
+    return Operator.from_terms([(1, sites)], exact=True)
+
+
+u0 = word([0])
+uh = word([half])
 print("U(0)*U(1/2)  =", u0 * uh)
 print("U(1/2)*U(0)  =", uh * u0, "   (the swap costs a sign)")
 print("U(0)*U(0)    =", u0 * u0)
-print("U(0)*U(5) == U(5)*U(0)?", u0 * GeneratorMonomial.of([5]) ==
-      GeneratorMonomial.of([5]) * u0)
+print("U(0)*U(5) == U(5)*U(0)?", u0 * word([5]) == word([5]) * u0)
 
 # (1 + U_{-1/2} U_0 U_{1/2}) / 2 is a projection of trace 1/2
 w = Operator.from_terms(

@@ -57,7 +57,7 @@ span = support_interval(c)
 cone = DoubleCone.span(0, span[0], span[1])
 common = pasts(localization(a), localization(b), "common")
 print(f"\nsupport {span} as {cone}; inside the common past? "
-      f"{common.contains_double_cone(cone)}")
+      f"{common.contains(cone)}")
 
 # the identity needs the balanced-weight condition: an unbalanced state fails
 unbalanced = build_lambda_state(a.to_float(), b.to_float(),

@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 
 from .algebra import (
     DEFAULT_TOL,
-    GeneratorMonomial,
     Operator,
     commutes,
     is_projection,
@@ -63,7 +62,6 @@ from .errors import (
 from .exact import EXACT_I, PI, ExactScalar, parse_exact
 from .geometry import (
     DoubleCone,
-    MinimalCone,
     Region,
     causal_future,
     causal_past,
@@ -84,7 +82,7 @@ from .states import (
 __all__ = [
     "__version__",
     # algebra
-    "DEFAULT_TOL", "GeneratorMonomial", "Operator", "commutes", "is_projection",
+    "DEFAULT_TOL", "Operator", "commutes", "is_projection",
     "localization", "product_trace",
     "support_interval", "to_matrix", "window_monomials",
     # causal analysis
@@ -99,7 +97,7 @@ __all__ = [
     # exact scalars
     "EXACT_I", "PI", "ExactScalar", "parse_exact",
     # geometry
-    "DoubleCone", "MinimalCone", "Region", "causal_future", "causal_past",
+    "DoubleCone", "Region", "causal_future", "causal_past",
     "pasts", "spacelike_separated",
     # search
     "Candidate", "SolverConfig", "solve_noncommuting_cc",

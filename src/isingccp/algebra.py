@@ -32,7 +32,6 @@ must lie at or above -32 (doubled -64); lower sites raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,7 +43,6 @@ from .geometry import DoubleCone
 from .halfint import double_str, from_double, to_double
 
 __all__ = [
-    "GeneratorMonomial",
     "Operator",
     "product_trace",
     "commutes",
@@ -120,55 +118,6 @@ def _phase_index(phase) -> int:
     if p is None:
         raise PreconditionError(f"phase must be a fourth root of unity, got {phase!r}")
     return p
-
-
-@dataclass(frozen=True)
-class GeneratorMonomial:
-    """A signed product of generators in canonical (ascending) site order.
-
-    ``sites`` holds doubled half-integers; ``phase`` is a power of i in
-    {0, 1, 2, 3}.  The empty word with phase 0 is the identity.
-    """
-
-    sites: tuple = ()
-    phase: int = 0
-
-    def __post_init__(self):
-        if any(p >= q for p, q in zip(self.sites, self.sites[1:])):
-            raise PreconditionError("monomial sites must be strictly ascending")
-        object.__setattr__(self, "phase", self.phase % 4)
-
-    @classmethod
-    def of(cls, sites, phase="+1") -> "GeneratorMonomial":
-        """Build from an ordered word of half-integer sites and a phase token.
-
-        The word is reduced to canonical form, so repeated or descending
-        sites pick up the signs the relations dictate.
-        """
-        key, odd = _reduce_word(to_double(s) for s in sites)
-        return cls(_sites(key), _phase_index(phase) + 2 * odd)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.sites and self.phase == 0
-
-    def __mul__(self, other: "GeneratorMonomial") -> "GeneratorMonomial":
-        s, _ = _reduce_word(self.sites)
-        t, _ = _reduce_word(other.sites)
-        return GeneratorMonomial(_sites(s ^ t), self.phase + other.phase + 2 * _odd(s, t))
-
-    def adjoint(self) -> "GeneratorMonomial":
-        s, _ = _reduce_word(self.sites)
-        return GeneratorMonomial(self.sites, -self.phase + 2 * _odd(s, s))
-
-    def phase_value(self) -> complex:
-        return _PHASE_VALUES[self.phase]
-
-    def __str__(self):
-        prefix = {0: "", 1: "i·", 2: "-", 3: "-i·"}[self.phase]
-        if not self.sites:
-            return prefix + "1" if prefix else "1"
-        return prefix + " ".join(f"U({double_str(s)})" for s in self.sites)
 
 
 # -- coefficients ------------------------------------------------------------

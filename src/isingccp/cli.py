@@ -37,7 +37,7 @@ from .causal import (
 from .dynamics import DynamicsParams, apply_beta, beta_generator_image, check_primitive_causality
 from .errors import BudgetError, ModeError, PreconditionError, SchemaError
 from .exact import ExactScalar, parse_exact
-from .geometry import DoubleCone, MinimalCone, pasts, spacelike_separated
+from .geometry import DoubleCone, pasts, spacelike_separated
 from .halfint import double_str
 from .search import SolverConfig, solve_noncommuting_cc
 from .states import SECTORS, build_lambda_state, correlation, sector_correlation, PartitionOfUnity
@@ -64,11 +64,25 @@ def _read(value, convert, what: str):
         raise SchemaError(f"cannot read {what} {value!r}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A JSON integer; a bool, a float or a string is rejected, not converted."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _natural(value, least: int = 0) -> int:
-    """An int of at least ``least``."""
-    if int(value) < least:
-        raise ValueError(f"must be at least {least}")
-    return int(value)
+    """An integer of at least ``least``."""
+    if _integer(value) < least:
+        raise ValueError(f"{value} is below {least}")
+    return value
+
+
+def _boolean(value) -> bool:
+    """A JSON boolean; any other value is rejected, not tested for truth."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not true or false")
+    return value
 
 
 def _coord(value) -> Fraction:
@@ -108,9 +122,8 @@ def operator_from_literal(terms, exact: bool) -> Operator:
 def region_from_literal(spec) -> DoubleCone:
     if not isinstance(spec, dict) or not {"t", "i", "j"} <= set(spec):
         raise SchemaError('region literal must be {"t": ..., "i": ..., "j": ...}')
-    if not isinstance(spec["t"], int) or isinstance(spec["t"], bool):
-        raise SchemaError("region t must be an integer translate label")
-    return _read(spec, lambda s: DoubleCone.span(s["t"], _coord(s["i"]), _coord(s["j"])), "region")
+    return _read(spec, lambda s: DoubleCone.span(_integer(s["t"]), _coord(s["i"]), _coord(s["j"])),
+                 "region")
 
 
 def _cone(value):
@@ -121,7 +134,7 @@ def _cone(value):
         raise TypeError("a cone is a region object or a 't,x' / 't,i,j' string")
     parts = value.split(",")
     if len(parts) == 2:
-        return MinimalCone.at(Fraction(parts[0]), Fraction(parts[1]))
+        return DoubleCone.minimal(Fraction(parts[0]), Fraction(parts[1]))
     if len(parts) == 3:
         return DoubleCone.span(int(parts[0]), Fraction(parts[1]), Fraction(parts[2]))
     raise ValueError("a cone string is 't,x' or 't,i,j'")
@@ -242,16 +255,14 @@ def _env_default(name: str, fallback: int) -> int:
 
 def _dynamics(d) -> DynamicsParams:
     return DynamicsParams(d.get("theta1", "0"), d.get("theta2", "0"),
-                          int(d.get("eta1", 1)), int(d.get("eta2", 1)))
+                          _integer(d.get("eta1", 1)), _integer(d.get("eta2", 1)))
 
 
 def _event(spec, exact: bool) -> tuple:
     """(surface operator, time); a site event is (1 + U_site)/2."""
     if not isinstance(spec, dict) or not {"site", "terms"} & set(spec):
         raise SchemaError('an event is {"site": ..., "time": ...} or {"terms": [...], "time": ...}')
-    t = spec.get("time", 1 if "site" in spec else 0)
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise SchemaError("event time must be a nonnegative integer")
+    t = _read(spec.get("time", 1 if "site" in spec else 0), _natural, "event time")
     if "site" in spec:
         terms = [{"coeff": "1/2", "sites": []}, {"coeff": "1/2", "sites": [spec["site"]]}]
     else:
@@ -261,8 +272,9 @@ def _event(spec, exact: bool) -> tuple:
 
 def _enumeration(cfg: dict) -> tuple:
     size = cfg.get("sector_size")
-    return (int(cfg.get("k", 2)), int(cfg.get("budget", _env_default("ISINGCCP_BUDGET", 5_000_000))),
-            None if size is None else int(size))
+    return (_integer(cfg.get("k", 2)),
+            _integer(cfg.get("budget", _env_default("ISINGCCP_BUDGET", 5_000_000))),
+            None if size is None else _integer(size))
 
 
 def _family(cfg: dict, exact: bool, seed: int) -> tuple:
@@ -286,12 +298,12 @@ def _solver(cfg: dict, seed: int) -> SolverConfig:
     rank = cfg.get("rank")
     return SolverConfig(
         seed=_natural(cfg.get("seed", seed)),
-        restarts=int(cfg.get("restarts", 20)),
+        restarts=_integer(cfg.get("restarts", 20)),
         max_iters=_natural(cfg.get("max_iters", 400), 1),
         tol=float(cfg.get("tol", 1e-8)),
-        rank=None if rank is None else int(rank),
-        commuting_constraint=bool(cfg.get("commuting_constraint", False)),
-        max_window_qubits=int(cfg.get("max_window_qubits", _env_default("ISINGCCP_MAX_QUBITS", 10))),
+        rank=None if rank is None else _integer(rank),
+        commuting_constraint=_boolean(cfg.get("commuting_constraint", False)),
+        max_window_qubits=_integer(cfg.get("max_window_qubits", _env_default("ISINGCCP_MAX_QUBITS", 10))),
     )
 
 
@@ -310,7 +322,7 @@ def _pasts_query(query) -> tuple:
 def _plot(name: str, cfg) -> tuple:
     if name not in _PLOT_POINTS or not isinstance(cfg, dict) or not isinstance(cfg.get("path", ""), str):
         raise ValueError('plots are "family_grid" and "weight_sweep", each {"n": ..., "path": ...}')
-    return int(cfg.get("n", _PLOT_POINTS[name])), cfg.get("path", f"{name}.csv")
+    return _integer(cfg.get("n", _PLOT_POINTS[name])), cfg.get("path", f"{name}.csv")
 
 
 def parse_scenario(raw) -> Scenario:
@@ -429,10 +441,8 @@ def _pasts_entry(a, b, mode: str, probe) -> dict:
     """The past of two cones, and whether it contains the probe cone if one is given."""
     region = pasts(a, b, mode)
     entry = {"mode": mode, "region": region.to_dict()}
-    if isinstance(probe, MinimalCone):
-        entry["contains"] = region.contains_cone(probe)
-    elif probe is not None:
-        entry["contains"] = region.contains_double_cone(probe)
+    if probe is not None:
+        entry["contains"] = region.contains(probe)
     return entry
 
 

@@ -38,6 +38,9 @@ from .states import SECTORS, LambdaState, PartitionOfUnity
 
 __all__ = ["SolverConfig", "Candidate", "solve_noncommuting_cc"]
 
+# weight of the commutator norms against the residuals under the commuting constraint
+_PENALTY = 3.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -55,7 +58,6 @@ class SolverConfig:
     tol: float = 1e-8
     rank: int | None = None
     commuting_constraint: bool = False
-    penalty: float = 3.0
     max_window_qubits: int = 10
 
 
@@ -178,7 +180,7 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
         if cfg.commuting_constraint:
             comm_a = np.linalg.norm(c @ a_mat - a_mat @ c) / dim
             comm_b = np.linalg.norm(c @ b_mat - b_mat @ c) / dim
-            return np.array([r1, r2, cfg.penalty * comm_a, cfg.penalty * comm_b])
+            return np.array([r1, r2, _PENALTY * comm_a, _PENALTY * comm_b])
         return np.array([r1, r2])
 
     candidates = []
@@ -240,7 +242,7 @@ def _postprocess(c_mat, basis, fstate, sites, mat_win, dim, a_loc, b_loc, cfg, r
         span = (from_double(sites[0]), from_double(sites[-1]))
     cone = DoubleCone(0, to_double(span[0]), to_double(span[1]))
     loc = {
-        mode: pasts(a_loc, b_loc, mode).contains_double_cone(cone)
+        mode: pasts(a_loc, b_loc, mode).contains(cone)
         for mode in ("weak", "common", "strong")
     }
     cell_trivial = tuple(c.trivial for c in report.cells)

@@ -12,7 +12,6 @@ import numpy as np
 from isingccp import (
     DoubleCone,
     DynamicsParams,
-    MinimalCone,
     Operator,
     PartitionOfUnity,
     SolverConfig,
@@ -207,10 +206,10 @@ def test_criterion_6_einstein_causality(std_params):
 
 def test_criterion_7_geometry(std_params):
     t0 = time.perf_counter()
-    a, b = MinimalCone.at(1, 0), MinimalCone.at(1, 1)
+    a, b = DoubleCone.minimal(1, 0), DoubleCone.minimal(1, 1)
     common = pasts(a, b, "common")
     strong = pasts(a, b, "strong")
-    assert common.contains_double_cone(DoubleCone.span(0, 0, 1))
+    assert common.contains(DoubleCone.span(0, 0, 1))
     assert strong == common
     rng = np.random.default_rng(707)
 

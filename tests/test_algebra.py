@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingccp import (
+    EXACT_I,
     ExactScalar,
-    GeneratorMonomial,
     ModeError,
     Operator,
     PreconditionError,
@@ -26,38 +26,41 @@ HALF = Fraction(1, 2)
 # -- monomials ----------------------------------------------------------------
 
 
+def mono(sites, phase="+1"):
+    """One monomial, the word over ``sites`` times ``phase``, as an exact operator."""
+    return Operator.from_terms([(1, sites, phase)], exact=True)
+
+
 def test_nearest_neighbour_anticommutation():
-    u0 = GeneratorMonomial.of([0])
-    uh = GeneratorMonomial.of([HALF])
-    assert u0 * uh == GeneratorMonomial.of([0, HALF])
-    assert uh * u0 == GeneratorMonomial.of([0, HALF], "-1")
+    u0 = mono([0])
+    uh = mono([HALF])
+    assert u0 * uh == mono([0, HALF])
+    assert uh * u0 == mono([0, HALF], "-1")
 
 
 def test_generators_square_to_identity():
-    u0 = GeneratorMonomial.of([0])
-    assert (u0 * u0).is_identity
+    u0 = mono([0])
+    assert u0 * u0 == Operator.identity(exact=True)
 
 
 def test_distant_generators_commute():
-    u0, u5 = GeneratorMonomial.of([0]), GeneratorMonomial.of([5])
-    assert u0 * u5 == u5 * u0 == GeneratorMonomial.of([0, 5])
+    u0, u5 = mono([0]), mono([5])
+    assert u0 * u5 == u5 * u0 == mono([0, 5])
 
 
 def test_word_reduction_handles_order():
     # U_{1/2} U_0 written as an unsorted word picks up the swap sign
-    assert GeneratorMonomial.of([HALF, 0]) == GeneratorMonomial.of([0, HALF], "-1")
+    assert mono([HALF, 0]) == mono([0, HALF], "-1")
 
 
 sites_strategy = st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5)
-phase_strategy = st.integers(min_value=0, max_value=3)
+PHASES = ("+1", "+i", "-1", "-i")
 
 
 @st.composite
 def monomials(draw):
     word = draw(sites_strategy)
-    return GeneratorMonomial.of([Fraction(s, 2) for s in word], "+1") * GeneratorMonomial(
-        (), draw(phase_strategy)
-    )
+    return mono([Fraction(s, 2) for s in word]) * mono([], draw(st.sampled_from(PHASES)))
 
 
 @settings(max_examples=300)
@@ -68,11 +71,13 @@ def test_monomial_multiplication_associative(a, b, c):
 
 @given(monomials(), monomials())
 def test_phase_group_closed(a, b):
-    assert (a * b).phase in (0, 1, 2, 3)
+    # a product of monomials is one monomial times a fourth root of unity
+    ((_, coeff),) = (a * b).terms()
+    assert coeff in (ExactScalar(1), EXACT_I, ExactScalar(-1), -EXACT_I)
 
 
 def test_monomial_adjoint_phase_bookkeeping():
-    m = GeneratorMonomial.of([0, HALF], "+i")
+    m = mono([0, HALF], "+i")
     # (i U_0 U_{1/2})^dagger = -i U_{1/2} U_0 = i U_0 U_{1/2}
     assert m.adjoint() == m
 

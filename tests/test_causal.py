@@ -323,7 +323,7 @@ def test_candidate_support_in_common_past(events_exact):
     c = common_cause_candidate(0.6, 0.0, 0.8)
     span = support_interval(c)
     cone = DoubleCone.span(0, span[0], span[1])
-    assert region.contains_double_cone(cone)
+    assert region.contains(cone)
 
 
 # -- noncommuting residuals --------------------------------------------------------------

@@ -51,6 +51,21 @@ def test_dynamics_beta_prints_the_image(capsys):
     assert "U(-1/2) U(0) U(1/2)" in text
 
 
+@pytest.mark.parametrize("argv, terms, localization", [
+    (["--site", "0", "--exact"], [{"coeff": "1", "sites": ["-1/2", "0", "1/2"]}],
+     {"t": 1, "i": "0", "j": "0"}),
+    (["--site", "1/2"], [{"coeff": [1.0, 0.0], "sites": ["-1/2", "0", "1/2", "1", "3/2"]}],
+     {"t": 1, "i": "1/2", "j": "1/2"}),
+])
+def test_dynamics_beta_json(capsys, argv, terms, localization):
+    assert run_cli("dynamics", "beta", *argv, "--json") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["terms"] == terms
+    assert out["localization"] == localization
+    assert out["primitive_causality"] is True
+    assert out["params"] == {"theta1": "0", "theta2": "0", "eta1": 1, "eta2": 1}
+
+
 def test_ccp_enumerate(capsys):
     assert run_cli("ccp", "enumerate", "--weights", "1/4,1/4,1/4+pi/20,1/4-pi/20",
                    "--m", "4", "--k", "2") == 0
@@ -205,6 +220,18 @@ _CHEAP_SCENARIO = {
 }
 
 
+def _exit_code_with(tmp_path, path, value):
+    """Exit code of ``run`` on the cheap scenario with the entry at key ``path`` set to ``value``."""
+    scenario = copy.deepcopy(_CHEAP_SCENARIO)
+    node = scenario
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(scenario))
+    return run_cli("run", str(file), "--out", str(tmp_path / "report.json"))
+
+
 def _paths(node, prefix=()):
     """Every key or index path below ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -228,14 +255,24 @@ _JSON = st.recursive(
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(path=st.sampled_from(list(_paths(_CHEAP_SCENARIO))), value=_JSON)
 def test_any_json_value_ends_with_a_documented_exit_code(tmp_path, path, value):
-    scenario = copy.deepcopy(_CHEAP_SCENARIO)
-    node = scenario
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    file = tmp_path / "scenario.json"
-    file.write_text(json.dumps(scenario))
-    assert run_cli("run", str(file), "--out", str(tmp_path / "report.json")) in (0, 2, 3, 4)
+    assert _exit_code_with(tmp_path, path, value) in (0, 2, 3, 4)
+
+
+_INTEGER_SETTINGS = [("seed",), ("dynamics", "eta1"), ("dynamics", "eta2"), ("enumerate", "k"),
+                     ("enumerate", "budget"), ("enumerate", "sector_size"), ("solver", "seed"),
+                     ("solver", "restarts"), ("solver", "max_iters"), ("solver", "rank"),
+                     ("solver", "max_window_qubits"), ("plots", "weight_sweep", "n")]
+
+
+@pytest.mark.parametrize("path", _INTEGER_SETTINGS, ids="/".join)
+@pytest.mark.parametrize("value", [True, 1.5, 2.0, "1"], ids=repr)
+def test_integer_settings_take_json_integers_only(tmp_path, path, value):
+    assert _exit_code_with(tmp_path, path, value) == 2
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []], ids=repr)
+def test_commuting_constraint_takes_json_booleans_only(tmp_path, value):
+    assert _exit_code_with(tmp_path, ("solver", "commuting_constraint"), value) == 2
 
 
 def test_weight_violation_is_precondition_error(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from isingccp import (
     DoubleCone,
-    MinimalCone,
     PreconditionError,
     Region,
     causal_future,
@@ -16,45 +15,53 @@ from isingccp import (
 
 
 def test_cone_parity_constraint():
-    MinimalCone.at(Fraction(1, 2), Fraction(1, 2))
-    MinimalCone.at(1, 0)
+    DoubleCone.minimal(Fraction(1, 2), Fraction(1, 2))
+    DoubleCone.minimal(1, 0)
     with pytest.raises(PreconditionError):
-        MinimalCone.at(Fraction(1, 2), 0)
+        DoubleCone.minimal(Fraction(1, 2), 0)
 
 
 def test_surface_cones():
-    assert MinimalCone.surface(0) == MinimalCone.at(0, 0)
-    assert MinimalCone.surface(Fraction(1, 2)) == MinimalCone.at(Fraction(1, 2), Fraction(1, 2))
+    # a minimal cone is the single-site double cone on the translate at or below it
+    half = Fraction(1, 2)
+    assert DoubleCone.minimal(0, 0) == DoubleCone.span(0, 0, 0)
+    assert DoubleCone.minimal(half, half) == DoubleCone.span(0, half, half)
+    assert DoubleCone.minimal(-half, half) == DoubleCone.span(-1, half, half)
+    assert str(DoubleCone.minimal(half, -half)) == "O^m(1/2,-1/2)"
 
 
 def test_spacelike_examples():
-    a = MinimalCone.at(1, 0)
-    b = MinimalCone.at(1, 1)
+    a = DoubleCone.minimal(1, 0)
+    b = DoubleCone.minimal(1, 1)
     assert spacelike_separated(a, b)
     assert not spacelike_separated(a, a)
-    assert not spacelike_separated(MinimalCone.at(0, 0), a)
+    assert not spacelike_separated(DoubleCone.minimal(0, 0), a)
 
 
 def test_causal_past_examples():
-    a = MinimalCone.at(1, 0)
+    a = DoubleCone.minimal(1, 0)
     past = causal_past(a)
-    assert past.contains_cone(MinimalCone.at(0, 0))
-    assert past.contains_cone(a)  # pasts include the region itself
-    assert not past.contains_cone(MinimalCone.at(0, 5))
+    assert past.contains(DoubleCone.minimal(0, 0))
+    assert past.contains(a)  # pasts include the region itself
+    assert not past.contains(DoubleCone.minimal(0, 5))
 
 
-def test_causal_past_of_empty_region_fails():
-    with pytest.raises(PreconditionError):
-        causal_past(Region.of_cones([]))
+def test_causal_future_examples():
+    a = DoubleCone.minimal(1, 0)
+    future = causal_future(a)
+    assert future.contains(a)  # futures include the region itself
+    assert future.contains(DoubleCone.minimal(Fraction(3, 2), Fraction(1, 2)))
+    assert not future.contains(DoubleCone.minimal(0, 0))
+    assert not future.contains(DoubleCone.minimal(2, 5))
 
 
 def test_pasts_of_the_standard_pair():
-    a, b = MinimalCone.at(1, 0), MinimalCone.at(1, 1)
+    a, b = DoubleCone.minimal(1, 0), DoubleCone.minimal(1, 1)
     common = pasts(a, b, "common")
     strong = pasts(a, b, "strong")
     weak = pasts(a, b, "weak")
     shared = DoubleCone.span(0, 0, 1)
-    assert common.contains_double_cone(shared)
+    assert common.contains(shared)
     assert strong == common  # minimal cones: strong and common pasts agree
     assert weak.contains_region(common)
     assert common.contains_region(strong)
@@ -62,13 +69,16 @@ def test_pasts_of_the_standard_pair():
 
 def test_double_cone_extent_and_contained_cones():
     shared = DoubleCone.span(0, 0, 1)
-    spanning = set(shared.spanning_cones())
+    spanning = {DoubleCone.span(0, x, x) for x in (0, Fraction(1, 2), 1)}
     assert spanning == {
-        MinimalCone.at(0, 0),
-        MinimalCone.at(Fraction(1, 2), Fraction(1, 2)),
-        MinimalCone.at(0, 1),
+        DoubleCone.minimal(0, 0),
+        DoubleCone.minimal(Fraction(1, 2), Fraction(1, 2)),
+        DoubleCone.minimal(0, 1),
     }
     assert spanning <= set(shared.contained_cones())
+    assert all(m.i2 == m.j2 for m in shared.contained_cones())
+    for m in spanning:
+        assert m.contained_cones() == [m]
 
 
 def _random_cone_pair(rng):
@@ -97,9 +107,9 @@ def test_spacelike_iff_outside_past_and_future():
     for _ in range(300):
         t = int(rng.integers(-3, 4))
         x2 = int(rng.integers(-6, 7))
-        m = MinimalCone(2 * t + (x2 % 2), x2)
+        m = DoubleCone(t, x2, x2)
         d = DoubleCone(int(rng.integers(-3, 4)), int(rng.integers(-6, 7)), int(rng.integers(-6, 7)) + 12)
-        related = causal_past(d).contains_cone(m) or causal_future(d).contains_cone(m)
+        related = causal_past(d).contains(m) or causal_future(d).contains(m)
         assert spacelike_separated(m, d) == (not related)
 
 
@@ -116,7 +126,7 @@ def test_translation_commutes_with_pasts():
 
 
 def test_region_serialization():
-    region = pasts(MinimalCone.at(1, 0), MinimalCone.at(1, 1), "common")
+    region = pasts(DoubleCone.minimal(1, 0), DoubleCone.minimal(1, 1), "common")
     d = region.to_dict()
     assert d["kind"] == "past"
     assert d["apexes"] == [{"u": "1/2", "v": "3/2"}]
