@@ -170,6 +170,67 @@ def _hull(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]))
 
 
+# -- float product kernel -------------------------------------------------------
+
+# Monomial pairs per block of the kernel, which bounds its temporary arrays.
+_BLOCK_PAIRS = 1 << 14
+
+
+def _float_product(x: dict, y: dict) -> dict | None:
+    """Terms of the product of two float operators' term dicts, computed on arrays.
+
+    The result equals the pair loop of ``Operator.__mul__`` bit for bit: the same
+    keys in the same order and the same coefficient bits.  Each coefficient
+    product is formed from separately rounded real products, as CPython's
+    complex multiply forms it (numpy's complex multiply can differ in the last
+    bit), and each key sums its products in row-major pair order from 0.0 with
+    ``np.bincount``, as ``acc.get(key, 0j) + c`` does.  Keys come out in order of
+    first occurrence.  Rows go in blocks of about ``_BLOCK_PAIRS`` pairs; the keys
+    seen so far and their running sums lead the next block, so each sum goes on
+    in the same order.  A running sum that starts at 0.0 is never -0.0, so
+    carrying it loses no bit.  Zero sums are dropped at the end, as
+    ``Operator`` drops them.  Returns None when the keys span too many bits to
+    shift into int64.
+    """
+    if not x or not y:
+        return {}
+    mask = 0
+    for key in (*x, *y):
+        mask |= key
+    low = max((mask & -mask).bit_length() - 1, 0)
+    if (mask >> low).bit_length() > 62:  # b << 1 must stay below the sign bit
+        return None
+    xk = np.array([k >> low for k in x], dtype=np.int64)[:, None]
+    yk = np.array([k >> low for k in y], dtype=np.int64)
+    xc = np.array(list(x.values()), dtype=complex)[:, None]
+    yc = np.array(list(y.values()), dtype=complex)
+    xr, xi, yr, yi = xc.real, xc.imag, yc.real, yc.imag
+    y_up = yk << 1
+    keys = np.empty(0, dtype=np.int64)
+    re = im = np.empty(0)
+    rows = max(1, _BLOCK_PAIRS // len(yk))
+    for r in range(0, len(xk), rows):
+        block = slice(r, r + rows)
+        odd = (np.bitwise_count(xk[block] & y_up) & 1).astype(bool).ravel()
+        pr = (xr[block] * yr - xi[block] * yi).ravel()
+        pi = (xr[block] * yi + xi[block] * yr).ravel()
+        uniq, first, inverse = np.unique(
+            np.concatenate((keys, (xk[block] ^ yk).ravel())),
+            return_index=True, return_inverse=True,
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        slot = rank[inverse]
+        keys = uniq[order]
+        re = np.bincount(slot, np.concatenate((re, np.where(odd, -pr, pr))), len(keys))
+        im = np.bincount(slot, np.concatenate((im, np.where(odd, -pi, pi))), len(keys))
+    kept = (re != 0) | (im != 0)
+    coeffs = np.empty(int(kept.sum()), dtype=complex)
+    coeffs.real, coeffs.imag = re[kept], im[kept]
+    return dict(zip([k << low for k in keys[kept].tolist()], coeffs.tolist()))
+
+
 class Operator:
     """A finite combination of canonical monomials with mode-tagged scalars.
 
@@ -297,6 +358,13 @@ class Operator:
         if not isinstance(other, Operator):
             return self.scaled(other)
         self._check_mode(other)
+        if not self.exact:
+            terms = _float_product(self._terms, other._terms)
+            if terms is not None:  # zero sums are already gone
+                op = Operator.__new__(Operator)
+                op._terms, op.exact = terms, False
+                op.time, op.base = self._labels_with(other)
+                return op
         acc: dict = {}
         zero = _zero(self.exact)
         for s1, c1 in self._terms.items():

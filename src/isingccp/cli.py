@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -76,6 +77,15 @@ def _natural(value, least: int = 0) -> int:
     if _integer(value) < least:
         raise ValueError(f"{value} is below {least}")
     return value
+
+
+def _tolerance(value) -> float:
+    """A finite JSON number above 0; a bool or a string is rejected, not converted."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{value} is not a finite number above 0")
+    return float(value)
 
 
 def _boolean(value) -> bool:
@@ -298,9 +308,9 @@ def _solver(cfg: dict, seed: int) -> SolverConfig:
     rank = cfg.get("rank")
     return SolverConfig(
         seed=_natural(cfg.get("seed", seed)),
-        restarts=_integer(cfg.get("restarts", 20)),
+        restarts=_natural(cfg.get("restarts", 20), 1),
         max_iters=_natural(cfg.get("max_iters", 400), 1),
-        tol=float(cfg.get("tol", 1e-8)),
+        tol=_tolerance(cfg.get("tol", 1e-8)),
         rank=None if rank is None else _integer(rank),
         commuting_constraint=_boolean(cfg.get("commuting_constraint", False)),
         max_window_qubits=_integer(cfg.get("max_window_qubits", _env_default("ISINGCCP_MAX_QUBITS", 10))),
@@ -570,7 +580,7 @@ def _run(scenario: Scenario, out_path, timings: bool) -> dict:
         if scenario.plots:
             report["plots"] = _write_plots(state, scenario.plots, report_dir)
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return report
 
@@ -585,7 +595,7 @@ def _cmd_run(args) -> int:
     if out_path:
         print(f"report written to {out_path}")
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        json.dump(report, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
         sys.stdout.write("\n")
     return 0
 
@@ -593,7 +603,8 @@ def _cmd_run(args) -> int:
 def _cmd_geom_pasts(args) -> int:
     a, b = _read(args.a, _cone, "--a"), _read(args.b, _cone, "--b")
     probe = _read(args.contains, _cone, "--contains") if args.contains else None
-    json.dump(_pasts_entry(a, b, args.mode, probe), sys.stdout, indent=2, sort_keys=True)
+    json.dump(_pasts_entry(a, b, args.mode, probe), sys.stdout, indent=2, sort_keys=True,
+              allow_nan=False)
     sys.stdout.write("\n")
     return 0
 
@@ -606,7 +617,7 @@ def _cmd_algebra_trace(args) -> int:
     else:
         op = operator_from_compact(args.op)
     json.dump({"operator": str(op), "trace": scalar_json(op.trace())}, sys.stdout,
-              indent=2, sort_keys=True)
+              indent=2, sort_keys=True, allow_nan=False)
     sys.stdout.write("\n")
     return 0
 
@@ -626,7 +637,7 @@ def _cmd_dynamics_beta(args) -> int:
             "localization": _cone_json(localization(img)),
             "primitive_causality": check_primitive_causality(params, site, exact=args.exact),
         }
-        json.dump(out, sys.stdout, indent=2, sort_keys=True)
+        json.dump(out, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
         sys.stdout.write("\n")
     else:
         print(str(img))
@@ -643,7 +654,7 @@ def _cmd_ccp_check(args) -> int:
         report = noncommuting_ccs_residuals(state, part)
     else:
         report = commuting_ccs_residuals(state, part)
-    json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
+    json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True, allow_nan=False)
     sys.stdout.write("\n")
     return 0
 
@@ -662,7 +673,7 @@ def _cmd_ccp_enumerate(args) -> int:
         "nontrivial": result.n_nontrivial,
         "nontrivial_profiles": [list(map(list, p)) for p in result.nontrivial[:50]],
     }
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
+    json.dump(out, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
     sys.stdout.write("\n")
     return 0
 
@@ -671,14 +682,15 @@ def _cmd_ccp_solve(args) -> int:
     scenario = parse_scenario(load_scenario(args.scenario))
     flags = {}
     if args.restarts is not None:
-        flags["restarts"] = args.restarts
+        flags["restarts"] = _read(args.restarts, lambda v: _natural(v, 1), "--restarts")
     if args.commuting:
         flags["commuting_constraint"] = True
     if args.seed is not None:
         flags["seed"] = _read(args.seed, _natural, "--seed")
     state = build_state_from_scenario(scenario)
     cfg = dataclasses.replace(scenario.solver, **flags)
-    json.dump(_analysis_solver(state, scenario.window, cfg), sys.stdout, indent=2, sort_keys=True)
+    json.dump(_analysis_solver(state, scenario.window, cfg), sys.stdout, indent=2, sort_keys=True,
+              allow_nan=False)
     sys.stdout.write("\n")
     return 0
 

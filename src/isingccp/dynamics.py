@@ -94,7 +94,10 @@ class DynamicsParams:
         return s * s, c * c, s * c
 
 
-@lru_cache(maxsize=4096)
+# Each generic-angle scenario brings fresh angles, so no later scenario hits
+# its images; 256 entries still hold the 9 images of an event at t = 3 many
+# times over.
+@lru_cache(maxsize=256)
 def _generator_image(params: DynamicsParams, site2: int, exact: bool) -> Operator:
     if site2 % 2 == 0:
         s2, c2, h = params._coefficients(1, exact)

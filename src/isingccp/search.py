@@ -50,6 +50,12 @@ class SolverConfig:
     representation (default: half the window dimension).  With
     ``commuting_constraint`` the commutators with both events join the
     residual vector and candidates that fail to commute are rejected.
+
+    ``max_iters`` caps scipy's ``nfev`` at ``max_iters * n`` per restart, for
+    the ``n = 2**s - 1`` basis monomials of a window of ``s`` half-integer
+    sites.  scipy's ``trf`` leaves the finite-difference calls of the
+    Jacobian out of ``nfev``, so one restart can evaluate the objective up
+    to ``max_iters * n * (n + 1)`` times.
     """
 
     seed: int = 0

@@ -1,10 +1,14 @@
+import struct
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isingccp import algebra
 from isingccp import (
+    DynamicsParams,
     EXACT_I,
     ExactScalar,
     ModeError,
@@ -15,6 +19,7 @@ from isingccp import (
     localization,
     product_trace,
     alpha_shift,
+    apply_beta,
     support_interval,
     to_matrix,
 )
@@ -247,3 +252,72 @@ def test_trace_cyclicity_exact_mode():
         x = Operator.from_terms(terms, exact=True)
         y = Operator.from_terms(list(reversed(terms)), exact=True)
         assert (x * y).trace() == (y * x).trace()
+
+
+# -- float product kernel -------------------------------------------------------
+
+
+def loop_product(x, y):
+    """Terms of x * y by the pair loop, the reference for the array kernel."""
+    acc = {}
+    for s1, c1 in x._terms.items():
+        for s2, c2 in y._terms.items():
+            c = c1 * c2
+            if (s1 & (s2 << 1)).bit_count() & 1:
+                c = -c
+            key = s1 ^ s2
+            acc[key] = acc.get(key, 0j) + c
+    return {key: c for key, c in acc.items() if c != 0}
+
+
+def bits(terms):
+    """Keys in dict order with the exact bits of each coefficient."""
+    return [(key, struct.pack("<dd", c.real, c.imag)) for key, c in terms.items()]
+
+
+# signed zeros, values whose products round, and full-precision draws
+_parts = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.1, 1 / 3]) | st.floats(-10, 10)
+
+
+@st.composite
+def float_operators(draw):
+    """Float operators over doubled sites -64 .. -5 (site -32 is the lowest
+    encodable one), with every coefficient kept exactly as drawn."""
+    terms = draw(st.dictionaries(
+        st.frozensets(st.integers(-64, -5), max_size=4),
+        st.builds(complex, _parts, _parts),
+        max_size=12,
+    ))
+    return Operator.from_terms(
+        [(c, [Fraction(d, 2) for d in sorted(sites)]) for sites, c in terms.items()]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_operators(), float_operators(), st.sampled_from([0, 30]),
+       st.sampled_from([1, 2, 3, 7, 1 << 14]))
+def test_float_product_matches_the_pair_loop(x, y, shift, block):
+    # a shift of 30 puts the keys above the int64 range, so the kernel must
+    # shift them down; small blocks carry running sums from block to block
+    x, y = alpha_shift(x, shift), alpha_shift(y, shift)
+    with patch.object(algebra, "_BLOCK_PAIRS", block):
+        assert bits((x * y)._terms) == bits(loop_product(x, y))
+
+
+def test_float_product_falls_back_on_keys_wider_than_int64():
+    # keys spanning 62 bits fit (shifted left once, they stay below the sign
+    # bit of int64); from 63 bits on the loop computes the product
+    for top, fits in ((Fraction(29, 2), True), (15, False), (31, False)):
+        x = Operator.from_terms([(0.5 + 0.25j, [-16, 0]), (1 / 3, [HALF, top])])
+        y = Operator.from_terms([(-0.1j, [0, top]), (0.7 - 0.3j, [-16]), (0.2, [top])])
+        assert (algebra._float_product(x._terms, y._terms) is not None) == fits
+        assert bits((x * y)._terms) == bits(loop_product(x, y))
+
+
+def test_float_product_at_three_steps_of_generic_angles():
+    params = DynamicsParams(0.3, 0.7)
+    a = apply_beta(params, half_sum(0), 3)
+    b = apply_beta(params, half_sum(1), 3)
+    assert len(a) == 1152
+    for x, y in ((a, a), (a, b)):
+        assert bits((x * y)._terms) == bits(loop_product(x, y))

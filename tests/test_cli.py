@@ -13,7 +13,7 @@ from isingccp.cli import (
     region_from_literal,
     run_scenario,
 )
-from isingccp import SchemaError
+from isingccp import SchemaError, algebra
 
 
 def run_cli(*argv):
@@ -177,6 +177,11 @@ def test_missing_weights_is_schema_error(tmp_path):
     {"weights": {"AB": "1/4", "ApBp": "x", "ABp": "1/4+pi/20", "ApB": "1/4-pi/20"}},
     # no requested analysis reads the enumerate section
     {"analyses": ["correlation"], "enumerate": {"k": "x"}},
+    # a tolerance that is not a finite number above 0 accepts every candidate
+    # or none, and a search without restarts cannot find one
+    *({"analyses": ["correlation"], "solver": {"tol": tol}}
+      for tol in ("nan", "inf", float("nan"), float("inf"), 0, -1, True, "1e-8")),
+    *({"analyses": ["correlation"], "solver": {"restarts": n}} for n in (0, -3)),
 ])
 def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     scenario = {
@@ -194,6 +199,8 @@ def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     ["ccp", "enumerate", "--weights", "1/4,x,1/4,1/4", "--m", "4"],
     ["dynamics", "beta", "--site", "x"],
     ["algebra", "trace", "--op-json", '[{"coeff":"1/2","sites":5}]'],
+    ["ccp", "solve-nc", "common-cause-demo", "--restarts", "0"],
+    ["ccp", "solve-nc", "common-cause-demo", "--restarts", "-3"],
 ])
 def test_malformed_flag_is_schema_error(argv):
     assert run_cli(*argv) == 2
@@ -366,3 +373,33 @@ def test_float_scenario_with_plots(tmp_path):
     assert sweep[0] == "shift,correlation"
     assert len(sweep) == 6
     assert (tmp_path / "family_grid.gp").exists()
+
+
+_FLOAT_EVENTS = {
+    "mode": "float",
+    "seed": 3,
+    "dynamics": {"theta1": 0.3, "theta2": 0.7, "eta1": 1, "eta2": -1},
+    "weights": {"AB": 0.2, "ApBp": 0.3, "ABp": 0.15, "ApB": 0.35},
+    "analyses": ["correlation", "screening-weight", "family-residuals"],
+    "family": {"coefficients": [[0.48, 0.6, 0.64], [0.6, -0.64, 0.48]]},
+}
+
+
+@pytest.mark.parametrize("entry", [
+    {"events": {"A": {"site": "0", "time": 2}, "B": {"site": "1", "time": 2}}},
+    {"events": {"A": {"site": "0", "time": 2}, "B": {"site": "2", "time": 2}}},
+    {"events": {"A": {"site": "0", "time": 1}, "B": {"site": "1", "time": 1}},
+     "analyses": ["correlation", "solve-noncommuting"],
+     "window": {"t": 0, "i": "0", "j": "1"},
+     "solver": {"restarts": 1, "seed": 7, "max_iters": 15}},
+])
+def test_float_reports_do_not_depend_on_the_product_kernel(tmp_path, monkeypatch, entry):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**_FLOAT_EVENTS, **entry}))
+    reports = []
+    for name in ("kernel.json", "loop.json"):
+        assert run_cli("run", str(path), "--out", str(tmp_path / name)) == 0
+        reports.append((tmp_path / name).read_bytes())
+        # without the kernel every float product takes the pair loop
+        monkeypatch.setattr(algebra, "_float_product", lambda x, y: None)
+    assert reports[0] == reports[1]

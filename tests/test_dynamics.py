@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from isingccp import dynamics
 from isingccp import (
     DynamicsParams,
     ExactnessError,
@@ -173,3 +174,13 @@ def test_evolved_localization(std_params, events_exact):
     assert (la.t, la.i, la.j) == (1, 0, 0)
     assert (lb.t, lb.i, lb.j) == (1, 1, 1)
     assert spacelike_separated(la, lb)
+
+
+def test_three_steps_at_generic_angles_fit_the_image_cache():
+    # every generic-angle scenario brings fresh angles, so its images are
+    # never reused by the next one; one event at t = 3 must still fit
+    dynamics._generator_image.cache_clear()
+    apply_beta(DynamicsParams(0.3, 0.7), half_sum(0), 3)
+    info = dynamics._generator_image.cache_info()
+    assert info.maxsize == 256
+    assert 0 < info.currsize == info.misses  # nothing was evicted
