@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,14 +171,86 @@ def _hull(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]))
 
 
-# -- float product kernel -------------------------------------------------------
+# -- float terms as arrays ----------------------------------------------------------
 
-# Monomial pairs per block of the kernel, which bounds its temporary arrays.
+# Monomial pairs per block of the product kernel, which bounds its temporary arrays.
 _BLOCK_PAIRS = 1 << 14
+# Keys at most this many bits wide are grouped through a direct-address table.
+_TABLE_BITS = 16
+# Products of fewer monomial pairs, and sums and product traces of fewer terms,
+# run faster on the dicts than numpy's fixed cost per call allows (at least 1).
+_ARRAY_WORK = 64
 
 
-def _float_product(x: dict, y: dict) -> dict | None:
-    """Terms of the product of two float operators' term dicts, computed on arrays.
+class _Arrays(NamedTuple):
+    """A float operator's terms in dict order: key ``keys[n] << low`` has
+    coefficient ``complex(re[n], im[n])``.  Every key is below ``1 << width``
+    and ``width`` is at most 62, so ``keys << 1`` stays below the sign bit."""
+
+    keys: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    low: int
+    width: int
+
+
+def _odd_arrays(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`_odd` elementwise on int64 keys below ``1 << 62``."""
+    return (np.bitwise_count(s & (t << 1)) & 1).view(bool)
+
+
+def _aligned(x: "Operator", y: "Operator"):
+    """The arrays of two float operators over one bit offset, or None when
+    either is exact or their keys together span more than 62 bits."""
+    a = x._arrays()
+    b = y._arrays() if a is not None else None
+    if b is None:
+        return None
+    # an operator whose keys are all 0 fits any offset
+    la = a.low if a.width else b.low
+    lb = b.low if b.width else la
+    low = min(la, lb)
+    width = max(la + a.width, lb + b.width) - low
+    if width > 62:
+        return None
+    return (_Arrays(a.keys << (la - low) if la > low else a.keys, a.re, a.im, low, width),
+            _Arrays(b.keys << (lb - low) if lb > low else b.keys, b.re, b.im, low, width))
+
+
+def _group(keys: np.ndarray, width: int):
+    """The distinct keys in order of first occurrence, and for each key the
+    index of its own among them.  Keys must be below ``1 << width``."""
+    n = len(keys)
+    positions = np.arange(n)
+    if width <= _TABLE_BITS:
+        table = np.full(1 << width, n)
+        np.minimum.at(table, keys, positions)
+        uniq = keys[table[keys] == positions]
+        table[uniq] = positions[:len(uniq)]
+        return uniq, table[keys]
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = rank[np.cumsum(new) - 1]
+    return keys[np.sort(first)], slot
+
+
+def _nonzero(keys, re, im, low, width) -> _Arrays:
+    """The terms whose coefficient is not zero, as ``Operator`` keeps them."""
+    kept = (re != 0) | (im != 0)
+    if kept.all():
+        return _Arrays(keys, re, im, low, width)
+    return _Arrays(keys[kept], re[kept], im[kept], low, width)
+
+
+def _float_product(a: _Arrays, b: _Arrays) -> _Arrays:
+    """Terms of the product of two aligned float operators.
 
     The result equals the pair loop of ``Operator.__mul__`` bit for bit: the same
     keys in the same order and the same coefficient bits.  Each coefficient
@@ -188,47 +261,77 @@ def _float_product(x: dict, y: dict) -> dict | None:
     first occurrence.  Rows go in blocks of about ``_BLOCK_PAIRS`` pairs; the keys
     seen so far and their running sums lead the next block, so each sum goes on
     in the same order.  A running sum that starts at 0.0 is never -0.0, so
-    carrying it loses no bit.  Zero sums are dropped at the end, as
-    ``Operator`` drops them.  Returns None when the keys span too many bits to
-    shift into int64.
+    carrying it loses no bit.
     """
-    if not x or not y:
-        return {}
-    mask = 0
-    for key in (*x, *y):
-        mask |= key
-    low = max((mask & -mask).bit_length() - 1, 0)
-    if (mask >> low).bit_length() > 62:  # b << 1 must stay below the sign bit
-        return None
-    xk = np.array([k >> low for k in x], dtype=np.int64)[:, None]
-    yk = np.array([k >> low for k in y], dtype=np.int64)
-    xc = np.array(list(x.values()), dtype=complex)[:, None]
-    yc = np.array(list(y.values()), dtype=complex)
-    xr, xi, yr, yi = xc.real, xc.imag, yc.real, yc.imag
-    y_up = yk << 1
-    keys = np.empty(0, dtype=np.int64)
-    re = im = np.empty(0)
-    rows = max(1, _BLOCK_PAIRS // len(yk))
-    for r in range(0, len(xk), rows):
-        block = slice(r, r + rows)
-        odd = (np.bitwise_count(xk[block] & y_up) & 1).astype(bool).ravel()
-        pr = (xr[block] * yr - xi[block] * yi).ravel()
-        pi = (xr[block] * yi + xi[block] * yr).ravel()
-        uniq, first, inverse = np.unique(
-            np.concatenate((keys, (xk[block] ^ yk).ravel())),
-            return_index=True, return_inverse=True,
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        slot = rank[inverse]
-        keys = uniq[order]
-        re = np.bincount(slot, np.concatenate((re, np.where(odd, -pr, pr))), len(keys))
-        im = np.bincount(slot, np.concatenate((im, np.where(odd, -pi, pi))), len(keys))
-    kept = (re != 0) | (im != 0)
-    coeffs = np.empty(int(kept.sum()), dtype=complex)
-    coeffs.real, coeffs.imag = re[kept], im[kept]
-    return dict(zip([k << low for k in keys[kept].tolist()], coeffs.tolist()))
+    keys = None
+    rows = max(1, _BLOCK_PAIRS // len(b.keys))
+    for r in range(0, len(a.keys), rows):
+        xk, xr, xi = a.keys[r:r + rows], a.re[r:r + rows], a.im[r:r + rows]
+        # numpy loops fastest along the last axis, so the longer side of the
+        # block goes there; ravel() then copies the pairs into row-major order
+        flip = len(xk) > len(b.keys)
+        if flip:
+            xk, xr, xi = xk[None, :], xr[None, :], xi[None, :]
+            yk, yr, yi = b.keys[:, None], b.re[:, None], b.im[:, None]
+        else:
+            xk, xr, xi = xk[:, None], xr[:, None], xi[:, None]
+            yk, yr, yi = b.keys, b.re, b.im
+        odd = _odd_arrays(xk, yk)
+        pr = xr * yr
+        pr -= xi * yi
+        pi = xr * yi
+        pi += xi * yr
+        np.negative(pr, out=pr, where=odd)
+        np.negative(pi, out=pi, where=odd)
+        pairs = xk ^ yk
+        if flip:
+            pairs, pr, pi = pairs.T, pr.T, pi.T
+        pairs, pr, pi = pairs.ravel(), pr.ravel(), pi.ravel()
+        if keys is not None:
+            pairs = np.concatenate((keys, pairs))
+            pr, pi = np.concatenate((re, pr)), np.concatenate((im, pi))
+        keys, slot = _group(pairs, a.width)
+        re = np.bincount(slot, pr, len(keys))
+        im = np.bincount(slot, pi, len(keys))
+    return _nonzero(keys, re, im, a.low, a.width)
+
+
+def _float_sum(a: _Arrays, b: _Arrays) -> _Arrays:
+    """Terms of the sum of two aligned float operators, as the dict loop of
+    ``Operator.__add__`` makes them: a's keys in a's order, then b's new keys
+    in b's order; ``x + y`` on shared keys, ``0.0 + y`` on new ones, a's other
+    coefficients as they are, and zero sums dropped."""
+    keys, slot = _group(np.concatenate((a.keys, b.keys)), a.width)
+    re, im = np.zeros(len(keys)), np.zeros(len(keys))
+    re[:len(a.keys)], im[:len(a.keys)] = a.re, a.im
+    at = slot[len(a.keys):]
+    re[at] += b.re
+    im[at] += b.im
+    return _nonzero(keys, re, im, a.low, a.width)
+
+
+def _float_product_trace(a: _Arrays, b: _Arrays) -> complex:
+    """Normalized trace of the product of two aligned float operators, summed
+    as the dict loop of :func:`product_trace` sums it: over a's keys that b
+    holds, in a's order, sequentially from 0.0."""
+    _, slot = _group(np.concatenate((b.keys, a.keys)), a.width)
+    at = slot[len(b.keys):]
+    hit = at < len(b.keys)
+    keys, xr, xi = a.keys[hit], a.re[hit], a.im[hit]
+    yr, yi = b.re[at[hit]], b.im[at[hit]]
+    odd = _odd_arrays(keys, keys)
+    pr, pi = xr * yr - xi * yi, xr * yi + xi * yr
+    np.negative(pr, out=pr, where=odd)
+    np.negative(pi, out=pi, where=odd)
+    # accumulate adds in order (np.add.reduce would sum pairwise)
+    return complex(*(np.add.accumulate(np.concatenate(([0.0], p)))[-1] for p in (pr, pi)))
+
+
+def _operator(terms, arrays, exact, time, base) -> "Operator":
+    """An operator over terms already free of zero coefficients."""
+    op = Operator.__new__(Operator)
+    op._dict, op._arr, op.exact, op.time, op.base = terms, arrays, exact, time, base
+    return op
 
 
 class Operator:
@@ -240,15 +343,48 @@ class Operator:
     then records the doubled site interval of the surface preimage), and
     None means no localization claim is carried.  Terms are keyed by the
     private monomial bitmask; build operators with the constructors below.
+
+    Float operators compute on their terms as arrays (:class:`_Arrays`) and
+    build the term dict only when something reads it.  Exact operators, float
+    keys spanning more than 62 bits, and operations smaller than
+    ``_ARRAY_WORK`` keep the dict and its loops; an operation on one operator
+    takes the form that operator already has.
     """
 
-    __slots__ = ("_terms", "exact", "time", "base")
+    __slots__ = ("_dict", "_arr", "exact", "time", "base")
 
     def __init__(self, terms: dict, exact: bool, time=0, base=None):
-        self._terms = {s: c for s, c in terms.items() if not _is_zero_coeff(c)}
+        self._dict = {s: c for s, c in terms.items() if not _is_zero_coeff(c)}
+        self._arr = None
         self.exact = exact
         self.time = time
         self.base = base
+
+    @property
+    def _terms(self) -> dict:
+        """The terms as a dict from key to coefficient, built on first read."""
+        if self._dict is None:
+            keys, re, im, low, _ = self._arr
+            coeffs = np.empty(len(keys), dtype=complex)
+            coeffs.real, coeffs.imag = re, im
+            self._dict = dict(zip([k << low for k in keys.tolist()], coeffs.tolist()))
+        return self._dict
+
+    def _arrays(self) -> _Arrays | None:
+        """The terms as arrays, built on first use; None in exact mode and
+        when the keys span more than 62 bits."""
+        if self._arr is None and not self.exact:
+            mask = 0
+            for key in self._dict:
+                mask |= key
+            low = max((mask & -mask).bit_length() - 1, 0)
+            width = (mask >> low).bit_length()
+            if width > 62:
+                return None
+            coeffs = np.array(list(self._dict.values()), dtype=complex)
+            self._arr = _Arrays(np.array([k >> low for k in self._dict], dtype=np.int64),
+                                coeffs.real.copy(), coeffs.imag.copy(), low, width)
+        return self._arr
 
     # -- constructors -----------------------------------------------------
 
@@ -293,10 +429,10 @@ class Operator:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._arr.keys) if self._dict is None else len(self._dict)
 
     def _check_mode(self, other: "Operator"):
         if self.exact != other.exact:
@@ -321,10 +457,13 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._check_mode(other)
+        time, base = self._labels_with(other)
+        pair = _aligned(self, other) if len(self) + len(other) >= _ARRAY_WORK else None
+        if pair is not None:
+            return _operator(None, _float_sum(*pair), False, time, base)
         acc = dict(self._terms)
         for s, c in other._terms.items():
             acc[s] = acc.get(s, _zero(self.exact)) + c
-        time, base = self._labels_with(other)
         return Operator(acc, self.exact, time, base)
 
     def __sub__(self, other):
@@ -333,10 +472,20 @@ class Operator:
         return self + (-other)
 
     def __neg__(self):
+        arr = self._arr
+        if arr is not None:
+            return _operator(None, arr._replace(re=-arr.re, im=-arr.im),
+                             False, self.time, self.base)
         return Operator({s: -c for s, c in self._terms.items()}, self.exact, self.time, self.base)
 
     def scaled(self, scalar) -> "Operator":
         c = _coerce_coeff(scalar, self.exact)
+        arr = self._arr
+        if arr is not None:  # v * c as CPython's complex multiply forms it
+            re = arr.re * c.real - arr.im * c.imag
+            im = arr.re * c.imag + arr.im * c.real
+            return _operator(None, _nonzero(arr.keys, re, im, arr.low, arr.width),
+                             False, self.time, self.base)
         return Operator({s: v * c for s, v in self._terms.items()}, self.exact, self.time, self.base)
 
     def __rmul__(self, scalar):
@@ -358,13 +507,9 @@ class Operator:
         if not isinstance(other, Operator):
             return self.scaled(other)
         self._check_mode(other)
-        if not self.exact:
-            terms = _float_product(self._terms, other._terms)
-            if terms is not None:  # zero sums are already gone
-                op = Operator.__new__(Operator)
-                op._terms, op.exact = terms, False
-                op.time, op.base = self._labels_with(other)
-                return op
+        pair = _aligned(self, other) if len(self) * len(other) >= _ARRAY_WORK else None
+        if pair is not None:
+            return _operator(None, _float_product(*pair), False, *self._labels_with(other))
         acc: dict = {}
         zero = _zero(self.exact)
         for s1, c1 in self._terms.items():
@@ -378,6 +523,12 @@ class Operator:
         return Operator(acc, self.exact, time, base)
 
     def adjoint(self) -> "Operator":
+        arr = self._arr
+        if arr is not None:  # -conj(c) is (-re, im)
+            odd = _odd_arrays(arr.keys, arr.keys)
+            return _operator(None, arr._replace(re=np.where(odd, -arr.re, arr.re),
+                                                im=np.where(odd, arr.im, -arr.im)),
+                             False, self.time, self.base)
         acc = {}
         for s, c in self._terms.items():
             cc = c.conjugate()
@@ -390,12 +541,19 @@ class Operator:
 
     def trace(self):
         """The normalized trace: the coefficient of the identity monomial."""
+        arr = self._arr
+        if arr is not None:
+            at = np.flatnonzero(arr.keys == 0)
+            return complex(arr.re[at[0]], arr.im[at[0]]) if len(at) else 0j
         return self._terms.get(0, _zero(self.exact))
 
     def sup_coefficient(self) -> float:
         """Largest coefficient magnitude (numeric, both modes)."""
-        if not self._terms:
+        if self.is_zero:
             return 0.0
+        arr = self._arr
+        if arr is not None:  # abs(complex) is hypot(re, im)
+            return float(np.hypot(arr.re, arr.im).max())
         return max(abs(complex(c)) for c in self._terms.values())
 
     def is_close_to_zero(self, tol: float = DEFAULT_TOL) -> bool:
@@ -425,7 +583,7 @@ class Operator:
         )
 
     def with_labels(self, time, base=None) -> "Operator":
-        return Operator(self._terms, self.exact, time, base)
+        return _operator(self._dict, self._arr, self.exact, time, base)
 
     def __str__(self):
         if not self._terms:
@@ -439,7 +597,7 @@ class Operator:
 
     def __repr__(self):
         mode = "exact" if self.exact else "float"
-        return f"<Operator {mode}, {len(self._terms)} terms>"
+        return f"<Operator {mode}, {len(self)} terms>"
 
 
 # -- module-level operations ---------------------------------------------------
@@ -452,6 +610,9 @@ def product_trace(x: Operator, y: Operator):
     U_S U_S is the identity times a sign.
     """
     x._check_mode(y)
+    pair = _aligned(x, y) if len(x) + len(y) >= _ARRAY_WORK else None
+    if pair is not None:
+        return _float_product_trace(*pair)
     total = _zero(x.exact)
     terms = y._terms
     for s, cx in x._terms.items():

@@ -224,14 +224,9 @@ def classical_ccs_check(space: ProbabilitySpace, a, b, partition, tol: float = 1
 
 
 def _cell_triviality(cell: Operator, state: LambdaState, tol: float) -> tuple:
-    one = Operator.identity(cell.exact)
-    events = {
-        "A": state.a,
-        "A'": one - state.a,
-        "B": state.b,
-        "B'": one - state.b,
-    }
-    return tuple(lab for lab, x in events.items() if (cell * x - cell).is_close_to_zero(tol))
+    events = (state.a, state.a_perp, state.b, state.b_perp)
+    return tuple(lab for lab, x in zip(_TRIVIALITY_LABELS, events)
+                 if (cell * x - cell).is_close_to_zero(tol))
 
 
 def _ccs_report(mode: str, state: LambdaState, partition, tol: float, condition) -> CcsReport:

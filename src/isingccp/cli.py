@@ -217,9 +217,15 @@ def load_scenario(path_or_name: str):
         except OSError as exc:
             raise SchemaError(f"cannot read scenario {path_or_name!r}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_interned_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
+
+
+def _interned_keys(pairs) -> dict:
+    # every report echoes its scenario; interned keys are stored once however
+    # many reports a caller keeps
+    return {sys.intern(key): value for key, value in pairs}
 
 
 class Scenario(NamedTuple):

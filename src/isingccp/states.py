@@ -123,16 +123,20 @@ class LambdaState:
     """The sector-weighted faithful state determined by (A, B, weights).
 
     Use :func:`build_lambda_state` to construct one; it validates the
-    commutation, sector and weight preconditions.
+    commutation, sector and weight preconditions.  ``a_perp`` and ``b_perp``
+    are the complements 1 - A and 1 - B.
     """
 
-    def __init__(self, a, b, sectors, weights, sector_traces, exact):
+    def __init__(self, a, b, a_perp, b_perp, sectors, weights, sector_traces, exact):
         self.a = a
         self.b = b
+        self.a_perp = a_perp
+        self.b_perp = b_perp
         self.sectors = sectors
         self.weights = weights
         self.sector_traces = sector_traces
         self.exact = exact
+        self._correlation = None
 
     def evaluate(self, x: Operator):
         """phi(x) = sum_P w_P tr(P x) / tr(P)."""
@@ -203,11 +207,12 @@ def build_lambda_state(a: Operator, b: Operator, weights, tol: float = DEFAULT_T
     if not commutes(a, b, tol):
         raise NoncommutingEventsError("the two events do not commute")
     one = Operator.identity(exact)
+    a_perp, b_perp = one - a, one - b
     sectors = {
         "AB": a * b,
-        "ApBp": (one - a) * (one - b),
-        "ABp": a * (one - b),
-        "ApB": (one - a) * b,
+        "ApBp": a_perp * b_perp,
+        "ABp": a * b_perp,
+        "ApB": a_perp * b,
     }
     traces = {}
     for label, p in sectors.items():
@@ -230,15 +235,17 @@ def build_lambda_state(a: Operator, b: Operator, weights, tol: float = DEFAULT_T
             raise WeightError(f"weights sum to {total}, expected 1")
     elif abs(total - 1.0) > tol:
         raise WeightError(f"weights sum to {total}, expected 1")
-    return LambdaState(a, b, sectors, coerced, traces, exact)
+    return LambdaState(a, b, a_perp, b_perp, sectors, coerced, traces, exact)
 
 
 def correlation(state: LambdaState):
-    """phi(AB) - phi(A) phi(B)."""
-    ab = state.evaluate(state.sectors["AB"])
-    pa = state.evaluate(state.a)
-    pb = state.evaluate(state.b)
-    return ab - pa * pb
+    """phi(AB) - phi(A) phi(B), computed once per state."""
+    if state._correlation is None:
+        ab = state.evaluate(state.sectors["AB"])
+        pa = state.evaluate(state.a)
+        pb = state.evaluate(state.b)
+        state._correlation = ab - pa * pb
+    return state._correlation
 
 
 def sector_correlation(state: LambdaState):

@@ -275,17 +275,37 @@ def bits(terms):
     return [(key, struct.pack("<dd", c.real, c.imag)) for key, c in terms.items()]
 
 
+def loop_sum(x, y):
+    """Terms of a sum of two term dicts by the dict loop."""
+    acc = dict(x)
+    for key, c in y.items():
+        acc[key] = acc.get(key, 0j) + c
+    return {key: c for key, c in acc.items() if c != 0}
+
+
+def loop_product_trace(x, y):
+    """product_trace(x, y) by the dict loop."""
+    total = 0j
+    for key, cx in x._terms.items():
+        cy = y._terms.get(key)
+        if cy is not None:
+            prod = cx * cy
+            total = total + (-prod if (key & (key << 1)).bit_count() & 1 else prod)
+    return total
+
+
 # signed zeros, values whose products round, and full-precision draws
 _parts = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.1, 1 / 3]) | st.floats(-10, 10)
+_scalars = st.builds(complex, _parts, _parts)
 
 
 @st.composite
-def float_operators(draw):
-    """Float operators over doubled sites -64 .. -5 (site -32 is the lowest
+def float_operators(draw, lo=-64, hi=-5):
+    """Float operators over doubled sites lo .. hi (site -32 is the lowest
     encodable one), with every coefficient kept exactly as drawn."""
     terms = draw(st.dictionaries(
-        st.frozensets(st.integers(-64, -5), max_size=4),
-        st.builds(complex, _parts, _parts),
+        st.frozensets(st.integers(lo, hi), max_size=4),
+        _scalars,
         max_size=12,
     ))
     return Operator.from_terms(
@@ -300,8 +320,71 @@ def test_float_product_matches_the_pair_loop(x, y, shift, block):
     # a shift of 30 puts the keys above the int64 range, so the kernel must
     # shift them down; small blocks carry running sums from block to block
     x, y = alpha_shift(x, shift), alpha_shift(y, shift)
-    with patch.object(algebra, "_BLOCK_PAIRS", block):
+    with patch.object(algebra, "_BLOCK_PAIRS", block), patch.object(algebra, "_ARRAY_WORK", 1):
         assert bits((x * y)._terms) == bits(loop_product(x, y))
+
+
+@st.composite
+def mixed_operators(draw):
+    """Float operators for every path of the float arithmetic: keys spanning 8
+    bits (direct-address table), 17 and 60 bits (sort), or 70 bits (dict
+    loops), shifted above the int64 range or not, with terms held in a dict
+    (``from_terms``), as arrays only, or made by the product kernel."""
+    span, shift = draw(st.sampled_from([8, 17, 60, 70])), draw(st.sampled_from([0, 30]))
+    x = alpha_shift(draw(float_operators(-64, -65 + span)), shift)
+    born = draw(st.sampled_from(["dict", "arrays", "product"]))
+    if born == "arrays" and x._arrays() is not None:
+        return algebra._operator(None, x._arrays(), False, x.time, x.base)
+    if born == "product":
+        with patch.object(algebra, "_ARRAY_WORK", 1):
+            return x * alpha_shift(draw(float_operators(-64, -57)), shift)
+    return x
+
+
+def check_sums_and_traces(x, y, scalar):
+    """Sums, differences, negation, scaling, adjoint and traces against the
+    dict loops, bit for bit."""
+    negated = {key: -c for key, c in y._terms.items()}
+    assert bits((x + y)._terms) == bits(loop_sum(x._terms, y._terms))
+    assert bits((x - y)._terms) == bits(loop_sum(x._terms, negated))
+    assert bits((-y)._terms) == bits(negated)
+    assert bits(x.scaled(scalar)._terms) == bits(
+        {key: c * scalar for key, c in x._terms.items() if c * scalar != 0})
+    assert bits(x.adjoint()._terms) == bits(
+        {key: -c.conjugate() if (key & (key << 1)).bit_count() & 1 else c.conjugate()
+         for key, c in x._terms.items()})
+    assert bits({0: x.trace()}) == bits({0: x._terms.get(0, 0j)})
+    assert bits({0: product_trace(x, y)}) == bits({0: loop_product_trace(x, y)})
+    assert x.sup_coefficient() == max((abs(c) for c in x._terms.values()), default=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_operators(), mixed_operators(), _scalars, st.sampled_from([1, algebra._ARRAY_WORK]))
+def test_float_sums_and_traces_match_the_dict_loops(x, y, scalar, work):
+    # with work 1 every sum and product trace takes the arrays; with the
+    # default, small ones take the loops on operators that may hold arrays only
+    with patch.object(algebra, "_ARRAY_WORK", work):
+        check_sums_and_traces(x, y, scalar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_operators(0, 7), float_operators(0, 7), st.sampled_from([0, 30]))
+def test_kernel_born_operators_read_like_their_rebuild(x, y, shift):
+    # from_terms keeps each coefficient as given, so the rebuild holds the
+    # pair loop's terms in its order with its bits
+    x, y = alpha_shift(x, shift), alpha_shift(y, shift)
+    with patch.object(algebra, "_ARRAY_WORK", 1):
+        born = x * y
+    rebuilt = Operator.from_terms(
+        [(c, [Fraction(d, 2) for d in algebra._sites(key)]) for key, c in loop_product(x, y).items()]
+    )
+    assert bits(born._terms) == bits(rebuilt._terms)
+    assert [(sites, bits({0: c})) for sites, c in born.terms()] == [
+        (sites, bits({0: c})) for sites, c in rebuilt.terms()]
+    assert born == rebuilt and hash(born) == hash(rebuilt)
+    assert str(born) == str(rebuilt)
+    window = (shift, shift + Fraction(7, 2))
+    assert np.array_equal(to_matrix(born, window), to_matrix(rebuilt, window))
 
 
 def test_float_product_falls_back_on_keys_wider_than_int64():
@@ -310,8 +393,15 @@ def test_float_product_falls_back_on_keys_wider_than_int64():
     for top, fits in ((Fraction(29, 2), True), (15, False), (31, False)):
         x = Operator.from_terms([(0.5 + 0.25j, [-16, 0]), (1 / 3, [HALF, top])])
         y = Operator.from_terms([(-0.1j, [0, top]), (0.7 - 0.3j, [-16]), (0.2, [top])])
-        assert (algebra._float_product(x._terms, y._terms) is not None) == fits
+        assert (algebra._aligned(x, y) is not None) == fits
+        assert (x._arrays() is not None) == fits
         assert bits((x * y)._terms) == bits(loop_product(x, y))
+    # 34 and 31 bits each, 63 together
+    x = Operator.from_terms([(0.5 + 0.25j, [-16, 0]), (1 / 3, [HALF])])
+    y = Operator.from_terms([(-0.1j, [0, 15]), (0.2, [15])])
+    assert x._arrays() is not None and y._arrays() is not None
+    assert algebra._aligned(x, y) is None
+    assert bits((x * y)._terms) == bits(loop_product(x, y))
 
 
 def test_float_product_at_three_steps_of_generic_angles():

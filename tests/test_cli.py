@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isingccp.cli import (
+    load_scenario,
     main,
     operator_from_compact,
     operator_from_literal,
     region_from_literal,
     run_scenario,
 )
-from isingccp import SchemaError, algebra
+from isingccp import SchemaError, algebra, dynamics
 
 
 def run_cli(*argv):
@@ -375,6 +376,15 @@ def test_float_scenario_with_plots(tmp_path):
     assert (tmp_path / "family_grid.gp").exists()
 
 
+def test_reports_share_their_scenario_keys():
+    # reports echo their scenario, so a caller keeping many holds each key once
+    first, second = run_scenario("uncorrelated"), run_scenario("uncorrelated")
+    assert first == second
+    for a, b in ((first["scenario"], second["scenario"]),
+                 (load_scenario("common-cause-demo"), load_scenario("common-cause-demo"))):
+        assert a == b and all(x is y for x, y in zip(a, b))
+
+
 _FLOAT_EVENTS = {
     "mode": "float",
     "seed": 3,
@@ -398,8 +408,11 @@ def test_float_reports_do_not_depend_on_the_product_kernel(tmp_path, monkeypatch
     path.write_text(json.dumps({**_FLOAT_EVENTS, **entry}))
     reports = []
     for name in ("kernel.json", "loop.json"):
+        # cached generator images would carry terms made by the other path
+        dynamics._generator_image.cache_clear()
         assert run_cli("run", str(path), "--out", str(tmp_path / name)) == 0
         reports.append((tmp_path / name).read_bytes())
-        # without the kernel every float product takes the pair loop
-        monkeypatch.setattr(algebra, "_float_product", lambda x, y: None)
+        # without arrays every float product, sum, negation, trace and
+        # product trace takes the dict loops
+        monkeypatch.setattr(algebra.Operator, "_arrays", lambda self: None)
     assert reports[0] == reports[1]

@@ -16,7 +16,7 @@ from isingccp import (
     sector_correlation,
     to_matrix,
 )
-from isingccp.states import DegenerateSectorError, NoncommutingEventsError, WeightError
+from isingccp.states import DegenerateSectorError, LambdaState, NoncommutingEventsError, WeightError
 from conftest import half_sum, random_operator
 
 HALF = Fraction(1, 2)
@@ -93,6 +93,18 @@ def test_correlation_values(state_exact, events_float):
     assert sector_correlation(state_exact) == parse_exact("1/400*pi^2")
     trace_state = build_lambda_state(*events_float, QUARTER)
     assert abs(correlation(trace_state)) < 1e-15
+
+
+def test_correlation_is_computed_once_per_state(events_float, monkeypatch):
+    state = build_lambda_state(*events_float, {"AB": 0.4, "ApBp": 0.3, "ABp": 0.2, "ApB": 0.1})
+    one = Operator.identity()
+    assert state.a_perp == one - state.a and state.b_perp == one - state.b
+    evaluated = []
+    evaluate = LambdaState.evaluate
+    monkeypatch.setattr(LambdaState, "evaluate",
+                        lambda self, x: evaluated.append(x) or evaluate(self, x))
+    first = correlation(state)
+    assert correlation(state) == first and len(evaluated) == 3
 
 
 def test_faithfulness_on_the_window(state_float):
