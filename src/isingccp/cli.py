@@ -45,6 +45,7 @@ from .states import SECTORS, build_lambda_state, correlation, sector_correlation
 
 __all__ = ["main"]
 
+_EXIT_BROKEN_PIPE = 1
 _EXIT_SCHEMA = 2
 _EXIT_BUDGET = 3
 _EXIT_PRECONDITION = 4
@@ -778,7 +779,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): send the rest of the output,
+        # the interpreter's final flush included, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return _EXIT_SCHEMA

@@ -12,6 +12,13 @@ The objective works on a dense matrix window through the identity
 
 and every accepted candidate is re-verified through the symbolic operator
 route, so the matrix shortcut never certifies itself.
+
+The objective is evaluated for a stack of points at once.  scipy's
+``least_squares`` gets it at one point as ``fun`` and, as ``jac``, scipy's
+2-point rule with the n perturbed points of an iteration in one batch; each
+row equals the single-point evaluation bit for bit, so iterates, reports and
+``nfev``/``njev`` are what ``jac="2-point"`` gives.  A batch holds at most
+2**20 complex matrix entries (points x dim**2).
 """
 
 from __future__ import annotations
@@ -40,6 +47,11 @@ __all__ = ["SolverConfig", "Candidate", "solve_noncommuting_cc"]
 
 # weight of the commutator norms against the residuals under the commuting constraint
 _PENALTY = 3.0
+# complex matrix entries (points x dim**2) evaluated per batch: every workload
+# window fits one chunk, and a 10-qubit matrix window takes one point at a time
+_CHUNK_ENTRIES = 2 ** 20
+# scipy's relative step for the 2-point rule on float64
+_REL_STEP = np.finfo(np.float64).eps ** 0.5
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,8 @@ class SolverConfig:
     the ``n = 2**s - 1`` basis monomials of a window of ``s`` half-integer
     sites.  scipy's ``trf`` leaves the finite-difference calls of the
     Jacobian out of ``nfev``, so one restart can evaluate the objective up
-    to ``max_iters * n * (n + 1)`` times.
+    to ``max_iters * n * (n + 1)`` times.  Those ``n`` points per Jacobian
+    are evaluated as one batch, which changes neither ``nfev`` nor ``njev``.
     """
 
     seed: int = 0
@@ -125,6 +138,97 @@ def _chop(op: Operator, tol: float = 1e-12) -> Operator:
     return Operator.from_terms(kept).with_labels(op.time, op.base)
 
 
+class _Objective:
+    """The search's residual rows over the matrix window, for many points at once.
+
+    ``rows(xs)`` maps a ``(k, n)`` stack of coefficient vectors to their
+    ``(k, m)`` residual rows, ``m`` being 2, or 4 under the commuting
+    constraint.  Row ``i`` equals bit for bit what ``xs[i]`` gives on its
+    own: each point gets its own ``np.dot`` for its self-adjoint matrix (the
+    call ``np.tensordot(x, basis, 1)`` makes; one product over the whole
+    stack rounds differently), ``eigh``, ``@`` and ``np.trace`` run the same
+    LAPACK or BLAS routine on every slice of a stack, and each commutator
+    norm is its own ``np.linalg.norm`` call.
+    """
+
+    def __init__(self, fstate: LambdaState, sites: list[int], cfg: SolverConfig):
+        span_a, span_b = support_interval(fstate.a), support_interval(fstate.b)
+        lo = min(to_double(span_a[0]), to_double(span_b[0]), sites[0])
+        hi = max(to_double(span_a[1]), to_double(span_b[1]), sites[-1])
+        self.mat_win = (from_double(lo), from_double(hi))
+
+        n_full = (hi + 1) // 2 - lo // 2 + 1
+        if n_full > cfg.max_window_qubits:
+            raise BudgetError(
+                f"matrix window needs {n_full} qubits, over the budget of {cfg.max_window_qubits}"
+            )
+        self.dim = dim = 2 ** n_full
+        n_win = (sites[-1] + 1) // 2 - sites[0] // 2 + 1
+        win_dim = 2 ** n_win
+        rank = cfg.rank if cfg.rank is not None else win_dim // 2
+        if not 0 < rank < win_dim:
+            raise PreconditionError(f"rank must lie strictly between 0 and {win_dim}")
+        self.rank_full = rank * (dim // win_dim)
+        self.constrained = cfg.commuting_constraint
+
+        basis = _selfadjoint_basis(sites)
+        self.basis_flat = np.array([to_matrix(h, self.mat_win) for h in basis]).reshape(
+            len(basis), dim * dim
+        )
+        self.sector_mats = [to_matrix(fstate.sectors[k].to_float(), self.mat_win) for k in SECTORS]
+        self.rho = fstate.density_matrix(self.mat_win)
+        self.a_mat = to_matrix(fstate.a, self.mat_win)
+        self.b_mat = to_matrix(fstate.b, self.mat_win)
+        self.eye = np.eye(dim)
+        self._last = (None, None)  # (point bytes, rows) of the last ``fun`` call
+
+    def projectors(self, xs: np.ndarray) -> np.ndarray:
+        """The rank-``rank_full`` top spectral projection of h(x) for each point."""
+        n, dim = len(self.basis_flat), self.dim
+        h = np.array([np.dot(x.reshape(1, n), self.basis_flat) for x in xs])
+        _, vecs = np.linalg.eigh(h.reshape(len(xs), dim, dim))
+        top = vecs[:, :, dim - self.rank_full:]
+        return top @ top.conj().swapaxes(1, 2)
+
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        step = max(1, _CHUNK_ENTRIES // self.dim ** 2)
+        return np.concatenate([self._rows(xs[i:i + step]) for i in range(0, len(xs), step)])
+
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        c = self.projectors(xs)
+        out = np.empty((len(xs), 4 if self.constrained else 2))
+        for j, cell in enumerate((c, self.eye - c)):
+            rho_k = cell @ self.rho @ cell
+            vals = [np.trace(s @ rho_k, axis1=1, axis2=2).real for s in self.sector_mats]
+            out[:, j] = vals[0] * vals[1] - vals[2] * vals[3]
+        if self.constrained:
+            for j, e in ((2, self.a_mat), (3, self.b_mat)):
+                norms = np.array([np.linalg.norm(d) for d in c @ e - e @ c])
+                out[:, j] = _PENALTY * (norms / self.dim)
+        return out
+
+    def fun(self, x: np.ndarray) -> np.ndarray:
+        """scipy's ``fun``: the rows at one point, kept for the next Jacobian."""
+        f = self.rows(x.reshape(1, -1))[0]
+        self._last = (x.tobytes(), f.copy())
+        return f
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        """scipy's 2-point Jacobian at ``x``, its n perturbed points in one batch.
+
+        Steps, differences and quotients follow ``scipy.optimize._numdiff``
+        operation for operation, and the base value is the last ``fun`` call,
+        which scipy always makes at ``x`` before asking for the Jacobian.
+        """
+        key, f0 = self._last
+        if key != x.tobytes():
+            f0 = self.fun(x)
+        stepped = x + _REL_STEP * ((x >= 0) * 2.0 - 1) * np.maximum(1.0, np.abs(x))
+        xs = np.tile(x, (len(x), 1))
+        np.fill_diagonal(xs, stepped)
+        return ((self.rows(xs) - f0) / (stepped - x)[:, None]).T
+
+
 def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | None = None) -> list:
     """Search a window algebra for two-cell screening-off partitions.
 
@@ -141,71 +245,33 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
 
     a_loc = localization(fstate.a)
     b_loc = localization(fstate.b)
-    span_a, span_b = support_interval(fstate.a), support_interval(fstate.b)
-    lo = min(to_double(span_a[0]), to_double(span_b[0]), sites[0])
-    hi = max(to_double(span_a[1]), to_double(span_b[1]), sites[-1])
-    mat_win = (from_double(lo), from_double(hi))
-
-    n_full = (hi + 1) // 2 - lo // 2 + 1
-    if n_full > cfg.max_window_qubits:
-        raise BudgetError(
-            f"matrix window needs {n_full} qubits, over the budget of {cfg.max_window_qubits}"
-        )
-    dim = 2 ** n_full
-    n_win = (sites[-1] + 1) // 2 - sites[0] // 2 + 1
-    win_dim = 2 ** n_win
-    rank = cfg.rank if cfg.rank is not None else win_dim // 2
-    if not 0 < rank < win_dim:
-        raise PreconditionError(f"rank must lie strictly between 0 and {win_dim}")
-    rank_full = rank * (dim // win_dim)
-
-    basis = _selfadjoint_basis(sites)
-    basis_mats = np.array([to_matrix(h, mat_win) for h in basis])
-    sector_mats = {k: to_matrix(fstate.sectors[k].to_float(), mat_win) for k in SECTORS}
-    rho = fstate.density_matrix(mat_win)
-    a_mat = to_matrix(fstate.a, mat_win)
-    b_mat = to_matrix(fstate.b, mat_win)
-
-    def projector(x: np.ndarray) -> np.ndarray:
-        h = np.tensordot(x, basis_mats, axes=1)
-        _, vecs = np.linalg.eigh(h)
-        top = vecs[:, dim - rank_full:]
-        return top @ top.conj().T
-
-    def residual_pair(c: np.ndarray) -> tuple[float, float]:
-        out = []
-        for cell in (c, np.eye(dim) - c):
-            rho_k = cell @ rho @ cell
-            vals = [np.trace(sector_mats[k] @ rho_k).real for k in SECTORS]
-            out.append(vals[0] * vals[1] - vals[2] * vals[3])
-        return out[0], out[1]
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        c = projector(x)
-        r1, r2 = residual_pair(c)
-        if cfg.commuting_constraint:
-            comm_a = np.linalg.norm(c @ a_mat - a_mat @ c) / dim
-            comm_b = np.linalg.norm(c @ b_mat - b_mat @ c) / dim
-            return np.array([r1, r2, _PENALTY * comm_a, _PENALTY * comm_b])
-        return np.array([r1, r2])
+    obj = _Objective(fstate, sites, cfg)
+    n = len(obj.basis_flat)
+    # the monomial matrices of the expansion in _postprocess; for a positive
+    # reversal sign the basis element is the monomial itself
+    monomials = [
+        (word, sign, flat.reshape(obj.dim, obj.dim) if sign > 0
+         else to_matrix(Operator.from_terms([(1.0, word)]), obj.mat_win))
+        for (word, sign), flat in zip(window_monomials(sites), obj.basis_flat)
+    ]
 
     candidates = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        x0 = rng.normal(size=len(basis))
+        x0 = rng.normal(size=n)
         result = least_squares(
-            objective,
+            obj.fun,
             x0,
             method="trf",
-            jac="2-point",
+            jac=obj.jac,
             xtol=1e-15,
             ftol=1e-15,
             gtol=1e-15,
-            max_nfev=cfg.max_iters * len(basis),
+            max_nfev=cfg.max_iters * n,
         )
-        c_mat = projector(result.x)
+        c_mat = obj.projectors(result.x[None])[0]
         cand = _postprocess(
-            c_mat, basis, fstate, sites, mat_win, dim,
+            c_mat, monomials, fstate, sites, obj.dim,
             a_loc, b_loc, cfg, restart, float(np.sum(result.fun ** 2)),
         )
         if cand is not None:
@@ -213,14 +279,13 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
     return candidates
 
 
-def _postprocess(c_mat, basis, fstate, sites, mat_win, dim, a_loc, b_loc, cfg, restart, objective):
+def _postprocess(c_mat, monomials, fstate, sites, dim, a_loc, b_loc, cfg, restart, objective):
     # expand the matrix in the window's monomial basis and confirm it stays
     # inside the window algebra (eigenvalue ties can push it outside)
     unit = np.trace(c_mat).real / dim
     terms = [(unit, ())]
     recon = unit * np.eye(dim, dtype=complex)
-    for word, sign in window_monomials(sites):
-        mono_mat = to_matrix(Operator.from_terms([(1.0, word)]), mat_win)
+    for word, sign, mono_mat in monomials:
         # monomial matrices are HS-orthonormal; the adjoint of one is its
         # reversal sign times itself
         c = sign * np.trace(mono_mat @ c_mat) / dim

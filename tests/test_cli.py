@@ -351,6 +351,17 @@ def test_console_script_entry_point():
     assert "isingccp" in proc.stdout
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isingccp.cli", "algebra", "trace", "--op", "U0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the report is written
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+
+
 def test_float_scenario_with_plots(tmp_path):
     scenario = {
         "mode": "float",

@@ -1,7 +1,14 @@
+import json
 from fractions import Fraction
+from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import least_squares
+from scipy.optimize._numdiff import approx_derivative
 
+from isingccp import search
 from isingccp import (
     BudgetError,
     DoubleCone,
@@ -86,3 +93,112 @@ def test_surface_window_required(state_float):
 
     with pytest.raises(PreconditionError):
         solve_noncommuting_cc(state_float, DoubleCone.span(1, 0, 1), SolverConfig(restarts=1))
+
+
+# -- the batched objective against a per-point reference -----------------------
+
+SEARCH_WINDOWS = [WINDOW, DoubleCone.span(0, 0, 2)]  # one and two sites wide
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _per_point(obj):
+    """Projector and objective one point at a time: the reference the batch equals bit for bit."""
+    n, dim = obj.basis_flat.shape[0], obj.dim
+    basis_mats = obj.basis_flat.reshape(n, dim, dim)
+
+    def projector(x):
+        h = np.tensordot(x, basis_mats, axes=1)
+        _, vecs = np.linalg.eigh(h)
+        top = vecs[:, dim - obj.rank_full:]
+        return top @ top.conj().T
+
+    def residual_pair(c):
+        out = []
+        for cell in (c, np.eye(dim) - c):
+            rho_k = cell @ obj.rho @ cell
+            vals = [np.trace(s @ rho_k).real for s in obj.sector_mats]
+            out.append(vals[0] * vals[1] - vals[2] * vals[3])
+        return out[0], out[1]
+
+    def objective(x):
+        c = projector(x)
+        r1, r2 = residual_pair(c)
+        if obj.constrained:
+            comm_a = np.linalg.norm(c @ obj.a_mat - obj.a_mat @ c) / dim
+            comm_b = np.linalg.norm(c @ obj.b_mat - obj.b_mat @ c) / dim
+            return np.array([r1, r2, search._PENALTY * comm_a, search._PENALTY * comm_b])
+        return np.array([r1, r2])
+
+    return projector, objective
+
+
+def _objective(state, window, constrained):
+    cfg = SolverConfig(commuting_constraint=constrained)
+    return search._Objective(state.to_float(), search._window_sites(window), cfg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    window=st.sampled_from(SEARCH_WINDOWS),
+    constrained=st.booleans(),
+    k=st.integers(1, 5),
+    data=st.data(),
+)
+def test_batched_rows_equal_the_per_point_objective(state_float, window, constrained, k, data):
+    obj = _objective(state_float, window, constrained)
+    n, dim = obj.basis_flat.shape[0], obj.dim
+    coords = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    xs = np.array(data.draw(st.lists(st.lists(coords, min_size=n, max_size=n),
+                                     min_size=k, max_size=k)))
+    projector, objective = _per_point(obj)
+    want = np.array([objective(x) for x in xs])
+    for chunk in (1, 2, 3):
+        with patch.object(search, "_CHUNK_ENTRIES", chunk * dim * dim):
+            assert _same_bits(obj.rows(xs), want)
+    for x in xs:
+        assert _same_bits(obj.projectors(x[None])[0], projector(x))
+        assert _same_bits(obj.fun(x), objective(x))
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("window", SEARCH_WINDOWS)
+def test_jacobian_is_scipys_two_point_rule(state_float, window, constrained):
+    obj = _objective(state_float, window, constrained)
+    _, objective = _per_point(obj)
+    rng = np.random.default_rng(7)
+    for x in (rng.normal(size=obj.basis_flat.shape[0]) for _ in range(3)):
+        want = approx_derivative(objective, x, method="2-point", f0=objective(x))
+        assert _same_bits(obj.jac(x), want)  # no cached base value: evaluates f(x)
+        obj.fun(x)
+        assert _same_bits(obj.jac(x), want)  # base value from the last fun call
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_solve_matches_scipys_own_two_point_jacobian(state_float, constrained):
+    cfg = SolverConfig(seed=5, restarts=2, tol=1e-8, max_iters=15,
+                       commuting_constraint=constrained)
+
+    def solve(jac):
+        counts = []
+
+        def wrapped(*args, **kwargs):
+            if jac is not None:
+                kwargs["jac"] = jac
+            out = least_squares(*args, **kwargs)
+            counts.append((out.nfev, out.njev))
+            return out
+
+        with patch.object(search, "least_squares", wrapped):
+            found = solve_noncommuting_cc(state_float, WINDOW, cfg)
+        return json.dumps([c.to_dict() for c in found], sort_keys=True), counts
+
+    batched, batched_counts = solve(None)
+    scipys, scipys_counts = solve("2-point")
+    assert batched == scipys
+    assert batched_counts == scipys_counts
+    assert len(batched_counts) == 2
