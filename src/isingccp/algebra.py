@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ModeError, PreconditionError
-from .exact import ExactScalar
+from .exact import ExactScalar, is_zero, zero
 from .geometry import DoubleCone
 from .halfint import double_str, from_double, to_double
 
@@ -124,10 +124,6 @@ def _phase_index(phase) -> int:
 # -- coefficients ------------------------------------------------------------
 
 
-def _zero(exact: bool):
-    return ExactScalar() if exact else 0j
-
-
 def _coerce_coeff(c, exact: bool):
     if exact:
         if isinstance(c, ExactScalar):
@@ -142,12 +138,6 @@ def _coerce_coeff(c, exact: bool):
     if isinstance(c, (int, float, complex, Fraction)) and not isinstance(c, bool):
         return complex(c)
     raise ModeError(f"cannot use {type(c).__name__} as a float coefficient")
-
-
-def _is_zero_coeff(c, tol: float = 0.0) -> bool:
-    if isinstance(c, ExactScalar):
-        return c.is_zero
-    return abs(c) <= tol
 
 
 def _phase_times(c, phase: int, exact: bool):
@@ -354,7 +344,7 @@ class Operator:
     __slots__ = ("_dict", "_arr", "exact", "time", "base")
 
     def __init__(self, terms: dict, exact: bool, time=0, base=None):
-        self._dict = {s: c for s, c in terms.items() if not _is_zero_coeff(c)}
+        self._dict = {s: c for s, c in terms.items() if not is_zero(c)}
         self._arr = None
         self.exact = exact
         self.time = time
@@ -425,7 +415,7 @@ class Operator:
 
     def coefficient(self, sites):
         key, _ = _reduce_word(sorted(to_double(s) for s in sites))
-        return self._terms.get(key, _zero(self.exact))
+        return self._terms.get(key, zero(self.exact))
 
     @property
     def is_zero(self) -> bool:
@@ -463,7 +453,7 @@ class Operator:
             return _operator(None, _float_sum(*pair), False, time, base)
         acc = dict(self._terms)
         for s, c in other._terms.items():
-            acc[s] = acc.get(s, _zero(self.exact)) + c
+            acc[s] = acc.get(s, zero(self.exact)) + c
         return Operator(acc, self.exact, time, base)
 
     def __sub__(self, other):
@@ -511,14 +501,14 @@ class Operator:
         if pair is not None:
             return _operator(None, _float_product(*pair), False, *self._labels_with(other))
         acc: dict = {}
-        zero = _zero(self.exact)
+        nil = zero(self.exact)
         for s1, c1 in self._terms.items():
             for s2, c2 in other._terms.items():
                 c = c1 * c2
                 if _odd(s1, s2):
                     c = -c
                 key = s1 ^ s2
-                acc[key] = acc.get(key, zero) + c
+                acc[key] = acc.get(key, nil) + c
         time, base = self._labels_with(other)
         return Operator(acc, self.exact, time, base)
 
@@ -545,7 +535,7 @@ class Operator:
         if arr is not None:
             at = np.flatnonzero(arr.keys == 0)
             return complex(arr.re[at[0]], arr.im[at[0]]) if len(at) else 0j
-        return self._terms.get(0, _zero(self.exact))
+        return self._terms.get(0, zero(self.exact))
 
     def sup_coefficient(self) -> float:
         """Largest coefficient magnitude (numeric, both modes)."""
@@ -613,7 +603,7 @@ def product_trace(x: Operator, y: Operator):
     pair = _aligned(x, y) if len(x) + len(y) >= _ARRAY_WORK else None
     if pair is not None:
         return _float_product_trace(*pair)
-    total = _zero(x.exact)
+    total = zero(x.exact)
     terms = y._terms
     for s, cx in x._terms.items():
         cy = terms.get(s)

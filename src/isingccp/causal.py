@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .algebra import DEFAULT_TOL, Operator, commutes
 from .errors import BudgetError, ExactnessError, PreconditionError
-from .exact import ExactScalar
+from .exact import ExactScalar, is_zero
 from .states import (
     SECTORS,
     LambdaState,
@@ -118,7 +118,7 @@ class CcsReport:
 
 def _residual_is_zero(value, exact: bool, tol: float) -> bool:
     if exact:
-        return value == ExactScalar(0) if isinstance(value, ExactScalar) else value == 0
+        return is_zero(value)
     return abs(complex(value).real) <= tol
 
 
@@ -447,10 +447,7 @@ def screening_weight(p_ab, p_apbp, p_abp, p_apb) -> WeightResult:
 
     Returns (p_ab * p_apbp - p_abp * p_apb) / p_apbp together with whether it
     lies strictly between 0 and p_ab, which certifies a positive correlation."""
-    zero = (
-        p_apbp.is_zero if isinstance(p_apbp, ExactScalar) else p_apbp == 0
-    )
-    if zero:
+    if is_zero(p_apbp):
         raise ZeroDivisionError("the A'B' sector has probability zero")
     value = (p_ab * p_apbp - p_abp * p_apb) / p_apbp
     within = bool(0 < value and value < p_ab)

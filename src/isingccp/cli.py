@@ -37,7 +37,7 @@ from .causal import (
 )
 from .dynamics import DynamicsParams, apply_beta, beta_generator_image, check_primitive_causality
 from .errors import BudgetError, ModeError, PreconditionError, SchemaError
-from .exact import ExactScalar, parse_exact
+from .exact import ExactScalar, is_zero, parse_exact
 from .geometry import DoubleCone, pasts, spacelike_separated
 from .halfint import double_str
 from .search import SolverConfig, solve_noncommuting_cc
@@ -416,6 +416,16 @@ def _analysis_family(state, triples, exact):
     return out
 
 
+def _enumeration_json(result, shown: int) -> dict:
+    """Counts of an enumeration and its first ``shown`` nontrivial profiles."""
+    return {
+        "checked": result.checked,
+        "satisfying": result.n_satisfying,
+        "nontrivial": result.n_nontrivial,
+        "nontrivial_profiles": [list(map(list, p)) for p in result.nontrivial[:shown]],
+    }
+
+
 def _analysis_enumerate(state, k, budget, sector_size):
     if sector_size is not None:
         m = [sector_size] * 4
@@ -426,10 +436,7 @@ def _analysis_enumerate(state, k, budget, sector_size):
     return {
         "sector_sizes": m,
         "k": k,
-        "checked": result.checked,
-        "satisfying": result.n_satisfying,
-        "nontrivial": result.n_nontrivial,
-        "nontrivial_profiles": [list(map(list, p)) for p in result.nontrivial[:20]],
+        **_enumeration_json(result, 20),
         "verdict": (
             "no nontrivial commuting partition satisfies the screening-off equations"
             if result.n_nontrivial == 0
@@ -465,7 +472,6 @@ def _pasts_entry(a, b, mode: str, probe) -> dict:
 
 def _write_plots(state, plots: dict, report_dir):
     import csv
-    import math
 
     fstate = state.to_float()
     written = []
@@ -537,7 +543,7 @@ def _run(scenario: Scenario, out_path, timings: bool) -> dict:
     results["correlation"] = scalar_json(corr)
     results["sector_correlation"] = scalar_json(sector_correlation(state))
     if exact:
-        no_corr = corr == ExactScalar(0)
+        no_corr = is_zero(corr)
     else:
         no_corr = abs(corr.real if isinstance(corr, complex) else float(corr)) < 1e-15
     results["no_correlation"] = bool(no_corr)
@@ -595,25 +601,27 @@ def _run(scenario: Scenario, out_path, timings: bool) -> dict:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _emit(obj) -> int:
+    """Print a subcommand's JSON record to stdout and return its exit code, 0."""
+    json.dump(obj, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
+    sys.stdout.write("\n")
+    return 0
+
+
 def _cmd_run(args) -> int:
     scenario = parse_scenario(load_scenario(args.scenario))
     report = _run(scenario, args.out, args.timings)
     out_path = args.out or scenario.report
     if out_path:
         print(f"report written to {out_path}")
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-        sys.stdout.write("\n")
-    return 0
+        return 0
+    return _emit(report)
 
 
 def _cmd_geom_pasts(args) -> int:
     a, b = _read(args.a, _cone, "--a"), _read(args.b, _cone, "--b")
     probe = _read(args.contains, _cone, "--contains") if args.contains else None
-    json.dump(_pasts_entry(a, b, args.mode, probe), sys.stdout, indent=2, sort_keys=True,
-              allow_nan=False)
-    sys.stdout.write("\n")
-    return 0
+    return _emit(_pasts_entry(a, b, args.mode, probe))
 
 
 def _cmd_algebra_trace(args) -> int:
@@ -623,10 +631,7 @@ def _cmd_algebra_trace(args) -> int:
         op = operator_from_literal(_read(args.op_json, json.loads, "--op-json"), exact=args.exact)
     else:
         op = operator_from_compact(args.op)
-    json.dump({"operator": str(op), "trace": scalar_json(op.trace())}, sys.stdout,
-              indent=2, sort_keys=True, allow_nan=False)
-    sys.stdout.write("\n")
-    return 0
+    return _emit({"operator": str(op), "trace": scalar_json(op.trace())})
 
 
 def _cmd_dynamics_beta(args) -> int:
@@ -634,21 +639,18 @@ def _cmd_dynamics_beta(args) -> int:
                    "--theta1/--theta2/--eta1/--eta2")
     site = _read(args.site, Fraction, "--site")
     img = beta_generator_image(params, site, exact=args.exact)
-    if args.json:
-        out = {
-            "params": {"theta1": args.theta1, "theta2": args.theta2,
-                       "eta1": args.eta1, "eta2": args.eta2},
-            "site": str(site),
-            "image": str(img),
-            "terms": _operator_json(img),
-            "localization": _cone_json(localization(img)),
-            "primitive_causality": check_primitive_causality(params, site, exact=args.exact),
-        }
-        json.dump(out, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-        sys.stdout.write("\n")
-    else:
+    if not args.json:
         print(str(img))
-    return 0
+        return 0
+    return _emit({
+        "params": {"theta1": args.theta1, "theta2": args.theta2,
+                   "eta1": args.eta1, "eta2": args.eta2},
+        "site": str(site),
+        "image": str(img),
+        "terms": _operator_json(img),
+        "localization": _cone_json(localization(img)),
+        "primitive_causality": check_primitive_causality(params, site, exact=args.exact),
+    })
 
 
 def _cmd_ccp_check(args) -> int:
@@ -657,13 +659,8 @@ def _cmd_ccp_check(args) -> int:
         raise SchemaError('this command needs a "partition" entry in the scenario')
     state = build_state_from_scenario(scenario)
     part = PartitionOfUnity(scenario.partition)
-    if args.noncommuting:
-        report = noncommuting_ccs_residuals(state, part)
-    else:
-        report = commuting_ccs_residuals(state, part)
-    json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-    sys.stdout.write("\n")
-    return 0
+    check = noncommuting_ccs_residuals if args.noncommuting else commuting_ccs_residuals
+    return _emit(check(state, part).to_dict())
 
 
 def _cmd_ccp_enumerate(args) -> int:
@@ -674,15 +671,7 @@ def _cmd_ccp_enumerate(args) -> int:
     if len(m) == 1:
         m = m * 4
     result = enumerate_commuting_tuples(weights, m, args.k, budget=args.budget)
-    out = {
-        "checked": result.checked,
-        "satisfying": result.n_satisfying,
-        "nontrivial": result.n_nontrivial,
-        "nontrivial_profiles": [list(map(list, p)) for p in result.nontrivial[:50]],
-    }
-    json.dump(out, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-    sys.stdout.write("\n")
-    return 0
+    return _emit(_enumeration_json(result, 50))
 
 
 def _cmd_ccp_solve(args) -> int:
@@ -696,10 +685,7 @@ def _cmd_ccp_solve(args) -> int:
         flags["seed"] = _read(args.seed, _natural, "--seed")
     state = build_state_from_scenario(scenario)
     cfg = dataclasses.replace(scenario.solver, **flags)
-    json.dump(_analysis_solver(state, scenario.window, cfg), sys.stdout, indent=2, sort_keys=True,
-              allow_nan=False)
-    sys.stdout.write("\n")
-    return 0
+    return _emit(_analysis_solver(state, scenario.window, cfg))
 
 
 def build_parser() -> argparse.ArgumentParser:

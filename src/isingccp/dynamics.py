@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .algebra import Operator, support_interval
 from .errors import ExactnessError, PreconditionError, SchemaError
-from .exact import ExactScalar
+from .exact import ExactScalar, is_zero
 from .halfint import from_double, to_double
 
 __all__ = [
@@ -79,7 +79,7 @@ class DynamicsParams:
                 raise PreconditionError(f"{name} must be +1 or -1")
 
     def _coefficients(self, which: int, exact: bool):
-        """(sin^2, cos^2, sin(2 theta)/2) for parameter pair 1 or 2."""
+        """(sin^2, cos^2, i sin(2 theta)/2) for parameter pair 1 or 2."""
         theta = self.theta1 if which == 1 else self.theta2
         if exact:
             if theta == 0.0:
@@ -91,7 +91,7 @@ class DynamicsParams:
                 "exact mode needs theta in {0, pi/2}"
             )
         s, c = math.sin(theta), math.cos(theta)
-        return s * s, c * c, s * c
+        return s * s, c * c, 1j * (s * c)
 
 
 # Each generic-angle scenario brings fresh angles, so no later scenario hits
@@ -99,34 +99,22 @@ class DynamicsParams:
 # times over.
 @lru_cache(maxsize=256)
 def _generator_image(params: DynamicsParams, site2: int, exact: bool) -> Operator:
-    if site2 % 2 == 0:
-        s2, c2, h = params._coefficients(1, exact)
-        eta = params.eta1
-        if exact:
-            i_h = ExactScalar(0, 1) * h
-        else:
-            i_h = 1j * h
+    integer = site2 % 2 == 0
+    s2, c2, i_h = params._coefficients(1 if integer else 2, exact)
+    eta = params.eta1 if integer else params.eta2
+    if integer:
         left, x, right = from_double(site2 - 1), from_double(site2), from_double(site2 + 1)
         img = Operator.from_terms([(eta * s2, [x]), (eta * c2, [left, x, right])], exact)
-        if not _is_scalar_zero(i_h):
+        if not is_zero(i_h):
             img = img + Operator.from_terms([(i_h, [left, x]), (-i_h, [x, right])], exact)
         return img
-    s2, c2, h = params._coefficients(2, exact)
-    eta = params.eta2
     left = _generator_image(params, site2 - 1, exact)
     right = _generator_image(params, site2 + 1, exact)
     mid = Operator.generator(from_double(site2), exact)
     img = mid.scaled(eta * s2) + (left * mid * right).scaled(eta * c2)
-    if not _is_scalar_zero(h):
-        i_h = (ExactScalar(0, 1) * h) if exact else 1j * h
+    if not is_zero(i_h):
         img = img + (left * mid - mid * right).scaled(i_h)
     return img
-
-
-def _is_scalar_zero(c) -> bool:
-    if isinstance(c, ExactScalar):
-        return c.is_zero
-    return c == 0
 
 
 def beta_generator_image(params: DynamicsParams, site, exact: bool = False) -> Operator:

@@ -148,10 +148,6 @@ class ExactScalar:
         raise AttributeError("ExactScalar is immutable")
 
     @classmethod
-    def rational(cls, p, q=1) -> "ExactScalar":
-        return cls(Fraction(p, q))
-
-    @classmethod
     def pi_power(cls, k: int, coeff=1) -> "ExactScalar":
         return cls((0,) * k + (Fraction(coeff),))
 
@@ -229,10 +225,6 @@ class ExactScalar:
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
 
     @property
     def is_rational(self) -> bool:
@@ -325,6 +317,17 @@ class ExactScalar:
 
 PI = ExactScalar.pi_power(1)
 EXACT_I = ExactScalar(0, 1)
+
+
+def zero(exact: bool):
+    """The zero of a scalar mode: ExactScalar() exactly, 0j in float mode."""
+    return ExactScalar() if exact else 0j
+
+
+def is_zero(c) -> bool:
+    """Whether a scalar of either mode is zero; an ExactScalar decides it
+    coefficient-wise, any other number compares with 0."""
+    return c.is_zero if isinstance(c, ExactScalar) else c == 0
 
 _TERM_RE = re.compile(
     r"^(?:(?P<coef>-?\d+(?:/\d+)?)\*)?"

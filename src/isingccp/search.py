@@ -122,15 +122,10 @@ def _selfadjoint_basis(sites: list[int]) -> list[Operator]:
     ]
 
 
-def _window_sites(window) -> list[int]:
-    if isinstance(window, DoubleCone):
-        if window.t != 0:
-            raise PreconditionError("the search window must sit on the Cauchy surface (t = 0)")
-        return window.sites()
-    i2, j2 = to_double(window[0]), to_double(window[1])
-    if i2 > j2:
-        raise PreconditionError("window needs i <= j")
-    return list(range(i2, j2 + 1))
+def _window_sites(window: DoubleCone) -> list[int]:
+    if window.t != 0:
+        raise PreconditionError("the search window must sit on the Cauchy surface (t = 0)")
+    return window.sites()
 
 
 def _chop(op: Operator, tol: float = 1e-12) -> Operator:
@@ -152,9 +147,8 @@ class _Objective:
     """
 
     def __init__(self, fstate: LambdaState, sites: list[int], cfg: SolverConfig):
-        span_a, span_b = support_interval(fstate.a), support_interval(fstate.b)
-        lo = min(to_double(span_a[0]), to_double(span_b[0]), sites[0])
-        hi = max(to_double(span_a[1]), to_double(span_b[1]), sites[-1])
+        lo, hi = fstate.window()
+        lo, hi = min(lo, sites[0]), max(hi, sites[-1])
         self.mat_win = (from_double(lo), from_double(hi))
 
         n_full = (hi + 1) // 2 - lo // 2 + 1
@@ -230,7 +224,8 @@ class _Objective:
 
 
 def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | None = None) -> list:
-    """Search a window algebra for two-cell screening-off partitions.
+    """Search the algebra of a ``DoubleCone`` window at t = 0 for two-cell
+    screening-off partitions.
 
     Returns the accepted candidates in restart order, each annotated with
     its symbolically re-verified residuals, commutation and triviality

@@ -27,13 +27,14 @@ from fractions import Fraction
 from .algebra import (
     DEFAULT_TOL,
     Operator,
+    _coerce_coeff,
     commutes,
     is_projection,
     product_trace,
     support_interval,
 )
 from .errors import ModeError, PreconditionError
-from .exact import ExactScalar
+from .exact import ExactScalar, zero
 from .halfint import to_double
 
 __all__ = [
@@ -107,18 +108,6 @@ def conditional_expectation(partition: PartitionOfUnity, x: Operator) -> Operato
     return out
 
 
-def _coerce_weight(value, exact: bool):
-    if exact:
-        if isinstance(value, ExactScalar):
-            return value
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return ExactScalar(value)
-        raise ModeError(f"exact states need exact weights, got {type(value).__name__}")
-    if isinstance(value, ExactScalar):
-        return float(value)
-    return float(value)
-
-
 class LambdaState:
     """The sector-weighted faithful state determined by (A, B, weights).
 
@@ -142,7 +131,7 @@ class LambdaState:
         """phi(x) = sum_P w_P tr(P x) / tr(P)."""
         if x.exact != self.exact:
             raise ModeError("operator and state modes differ; coerce explicitly")
-        total = ExactScalar() if self.exact else 0j
+        total = zero(self.exact)
         for label in SECTORS:
             p = self.sectors[label]
             total = total + self.weights[label] * product_trace(p, x) / self.sector_traces[label]
@@ -159,9 +148,9 @@ class LambdaState:
         lo, hi = self.window()
         return (hi + 1) // 2 - lo // 2 + 1
 
-    def sector_sizes(self, n_qubits: int | None = None) -> dict:
-        """Unnormalized sector ranks m_P = tr(P) * 2^n on an n-qubit window."""
-        n = self.window_qubits() if n_qubits is None else n_qubits
+    def sector_sizes(self) -> dict:
+        """Unnormalized sector ranks m_P = tr(P) * 2^n on the n-qubit window of the events."""
+        n = self.window_qubits()
         out = {}
         for label in SECTORS:
             tr = self.sector_traces[label]
@@ -224,7 +213,8 @@ def build_lambda_state(a: Operator, b: Operator, weights, tol: float = DEFAULT_T
     missing = set(SECTORS) - set(weights)
     if missing:
         raise WeightError(f"missing sector weights: {sorted(missing)}")
-    coerced = {k: _coerce_weight(weights[k], exact) for k in SECTORS}
+    # float weights stay real
+    coerced = {k: _coerce_coeff(weights[k], True) if exact else float(weights[k]) for k in SECTORS}
     for label, w in coerced.items():
         positive = (w > 0) if exact else w > tol
         if not positive:

@@ -324,6 +324,34 @@ def test_uncorrelated_short_circuits(tmp_path):
     assert "solver" not in res
 
 
+@pytest.mark.parametrize("analyses, timed", [
+    (["correlation", "screening-weight", "enumerate-commuting", "family-residuals", "geometry"],
+     {"screening_weight", "enumerate_commuting", "family_residuals"}),
+    (["correlation", "geometry"], set()),
+])
+def test_timings_flag_times_each_analysis_that_ran(tmp_path, capsys, analyses, timed):
+    scenario = {
+        "mode": "exact",
+        "events": {"A": {"site": "0", "time": 1}, "B": {"site": "1", "time": 1}},
+        "weights": {"AB": "1/4", "ApBp": "1/4", "ABp": "1/4+pi/20", "ApB": "1/4-pi/20"},
+        "analyses": analyses,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run_cli("run", str(path), "--timings") == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    assert set(timings) == timed | {"total"}
+    assert all(isinstance(s, float) and 0 <= s <= timings["total"] for s in timings.values())
+    assert run_cli("run", str(path)) == 0
+    assert "timings" not in json.loads(capsys.readouterr().out)
+
+
+def test_timings_leave_out_skipped_analyses(capsys):
+    # no correlation: the common-cause analyses are skipped and not timed
+    assert run_cli("run", "uncorrelated", "--timings") == 0
+    assert set(json.loads(capsys.readouterr().out)["timings"]) == {"total"}
+
+
 def test_literal_parsers():
     op = operator_from_literal(
         [{"coeff": "1/2", "sites": [], "phase": "+1"},

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isingccp import EXACT_I, ExactScalar, ExactnessError, parse_exact
+from isingccp.exact import is_zero, zero
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.lists(rationals, min_size=0, max_size=4)
@@ -19,6 +20,15 @@ def test_zero_iff_all_coefficients_vanish():
     assert scalar((0, Fraction(1, 3)))
     # pi is transcendental: a + b*pi + c*pi^2 == 0 only coefficient-wise
     assert scalar((1, -1)) != ExactScalar(0)
+
+
+def test_the_zero_of_each_scalar_mode():
+    assert type(zero(True)) is ExactScalar and is_zero(zero(True))
+    assert type(zero(False)) is complex and is_zero(zero(False))
+    for value in (0, 0.0, -0.0, 0j, Fraction(0), scalar(), scalar((0,), (0, 0))):
+        assert is_zero(value)
+    for value in (1e-300, 1e-300j, float("nan"), Fraction(1, 10**9), scalar((), (0, 1)), EXACT_I):
+        assert not is_zero(value)
 
 
 def test_product_rule_linear_terms():

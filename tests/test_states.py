@@ -5,6 +5,7 @@ import pytest
 
 from isingccp import (
     ExactScalar,
+    ModeError,
     Operator,
     PartitionOfUnity,
     PreconditionError,
@@ -55,6 +56,17 @@ def test_rejects_bad_weights(events_float):
         build_lambda_state(a, b, {"AB": 0.5, "ApBp": 0.25, "ABp": 0.25, "ApB": 0.25})
     with pytest.raises(WeightError):
         build_lambda_state(a, b, {"AB": 1.0})
+
+
+def test_weights_are_coerced_into_the_state_mode(events_exact, events_float):
+    mixed = {"AB": Fraction(1, 4), "ApBp": ExactScalar(Fraction(1, 4)),
+             "ABp": Fraction(1, 4), "ApB": ExactScalar(Fraction(1, 4))}
+    exact = build_lambda_state(*events_exact, mixed)
+    assert all(type(w) is ExactScalar for w in exact.weights.values())
+    with pytest.raises(ModeError):
+        build_lambda_state(*events_exact, {**mixed, "ABp": 0.25})
+    state = build_lambda_state(*events_float, {**mixed, "ABp": 0.25})
+    assert all(type(w) is float and w == 0.25 for w in state.weights.values())
 
 
 def test_accepts_the_offset_weights(state_exact):
