@@ -668,16 +668,23 @@ def window_monomials(sites):
             yield [from_double(d) for d in subset], -1 if _odd(key, key) else 1
 
 
+def terms_json(x: Operator) -> list:
+    """The terms of x as JSON records: exact coefficients as tokens, float ones as [real, imag]."""
+    return [{"coeff": str(c) if x.exact else [c.real, c.imag], "sites": [double_str(s) for s in sites]}
+            for sites, c in x.terms()]
+
+
 # -- dense matrix oracle ---------------------------------------------------------
 
 _relations_checked = False
 
 
-def _window_qubits(window) -> tuple[int, int]:
-    i2, j2 = (to_double(window[0]), to_double(window[1]))
+def qubit_range(window2) -> range:
+    """The qubits floor(i)..ceil(j) of the doubled window ``(i2, j2)``."""
+    i2, j2 = window2
     if i2 > j2:
         raise PreconditionError("window needs i <= j")
-    return i2 // 2, (j2 + 1) // 2
+    return range(i2 // 2, (j2 + 1) // 2 + 1)
 
 
 def _add_monomial(out: np.ndarray, key: int, coeff: complex, q1: int) -> None:
@@ -732,8 +739,8 @@ def to_matrix(x: Operator, window) -> np.ndarray:
     """
     _check_relations()
     w_i2, w_j2 = to_double(window[0]), to_double(window[1])
-    q0, q1 = _window_qubits(window)
-    dim = 2 ** (q1 - q0 + 1)
+    qubits = qubit_range((w_i2, w_j2))
+    q1, dim = qubits[-1], 2 ** len(qubits)
     out = np.zeros((dim, dim), dtype=complex)
     for key, coeff in x._terms.items():
         if key:

@@ -53,9 +53,12 @@ __all__ = [
     "screening_weight",
     "WeightResult",
     "common_cause_candidate",
+    "DEFAULT_BUDGET",
 ]
 
 _TRIVIALITY_LABELS = ("A", "A'", "B", "B'")
+# rank profiles an enumeration may count before it gives up
+DEFAULT_BUDGET = 5_000_000
 
 
 def scalar_json(v):
@@ -384,7 +387,7 @@ class EnumerationResult(NamedTuple):
         return len(self.nontrivial)
 
 
-def enumerate_commuting_tuples(weights, m, k_size: int, budget: int = 5_000_000) -> EnumerationResult:
+def enumerate_commuting_tuples(weights, m, k_size: int, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """Exhaustively enumerate commuting-partition rank profiles on a window.
 
     A profile assigns each of the k cells a rank per sector, with the ranks
@@ -461,27 +464,21 @@ def common_cause_candidate(a1, a2, a3, exact: bool = False, tol: float = 1e-9) -
     every real unit vector (a1, a2, a3); the support lies in the common past
     of the two standard evolved events."""
     if exact:
-        coeffs = [Fraction(v) if not isinstance(v, Fraction) else v for v in (a1, a2, a3)]
-        if sum(c * c for c in coeffs) != 1:
+        a1, a2, a3 = Fraction(a1), Fraction(a2), Fraction(a3)
+        if a1 * a1 + a2 * a2 + a3 * a3 != 1:
             raise PreconditionError("exact candidates need a1^2 + a2^2 + a3^2 == 1")
         half = Fraction(1, 2)
-        return Operator.from_terms(
-            [
-                (half, [], "+1"),
-                (half * coeffs[0], ["1/2"], "+1"),
-                (half * coeffs[1], ["1"], "+1"),
-                (half * coeffs[2], ["0", "1/2"], "+i"),
-            ],
-            exact=True,
-        )
-    a1, a2, a3 = float(a1), float(a2), float(a3)
-    if abs(a1 * a1 + a2 * a2 + a3 * a3 - 1.0) > tol:
-        raise PreconditionError("candidate coefficients must satisfy a1^2+a2^2+a3^2 = 1")
+    else:
+        a1, a2, a3 = float(a1), float(a2), float(a3)
+        if abs(a1 * a1 + a2 * a2 + a3 * a3 - 1.0) > tol:
+            raise PreconditionError("candidate coefficients must satisfy a1^2+a2^2+a3^2 = 1")
+        half = 0.5
     return Operator.from_terms(
         [
-            (0.5, [], "+1"),
-            (0.5 * a1, ["1/2"], "+1"),
-            (0.5 * a2, ["1"], "+1"),
-            (0.5 * a3, ["0", "1/2"], "+i"),
-        ]
+            (half, [], "+1"),
+            (half * a1, ["1/2"], "+1"),
+            (half * a2, ["1"], "+1"),
+            (half * a3, ["0", "1/2"], "+i"),
+        ],
+        exact=exact,
     )

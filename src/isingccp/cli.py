@@ -26,8 +26,9 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import __version__
-from .algebra import Operator, localization
+from .algebra import Operator, localization, terms_json
 from .causal import (
+    DEFAULT_BUDGET,
     commuting_ccs_residuals,
     common_cause_candidate,
     enumerate_commuting_tuples,
@@ -38,7 +39,7 @@ from .causal import (
 from .dynamics import DynamicsParams, apply_beta, beta_generator_image, check_primitive_causality
 from .errors import BudgetError, ModeError, PreconditionError, SchemaError
 from .exact import ExactScalar, is_zero, parse_exact
-from .geometry import DoubleCone, pasts, spacelike_separated
+from .geometry import PAST_MODES, DoubleCone, pasts, spacelike_separated
 from .halfint import double_str
 from .search import SolverConfig, solve_noncommuting_cc
 from .states import SECTORS, build_lambda_state, correlation, sector_correlation, PartitionOfUnity
@@ -173,20 +174,6 @@ def operator_from_compact(text: str) -> Operator:
     return Operator.from_terms(terms)
 
 
-def _operator_json(op: Operator):
-    out = []
-    for sites, coeff in op.terms():
-        if op.exact:
-            entry = {"coeff": str(coeff), "sites": [double_str(s) for s in sites]}
-        else:
-            entry = {
-                "coeff": [coeff.real, coeff.imag],
-                "sites": [double_str(s) for s in sites],
-            }
-        out.append(entry)
-    return out
-
-
 def _cone_json(cone: DoubleCone):
     return {"t": cone.t, "i": double_str(cone.i2), "j": double_str(cone.j2)}
 
@@ -197,7 +184,6 @@ def _cone_json(cone: DoubleCone):
 _BUNDLED = {"common-cause-demo", "uncorrelated"}
 _ANALYSES = {"correlation", "screening-weight", "enumerate-commuting", "family-residuals",
              "solve-noncommuting", "geometry"}
-_PAST_MODES = ("weak", "common", "strong")
 _PLOT_POINTS = {"family_grid": 16, "weight_sweep": 41}
 _EXACT_FAMILY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
                  ["3/5", "4/5", "0"], ["3/5", "0", "4/5"], ["0", "3/5", "4/5"]]
@@ -266,10 +252,6 @@ def _section(raw: dict, name: str, default=None, kind=dict):
     return value
 
 
-def _env_default(name: str, fallback: int) -> int:
-    return _read(os.environ.get(name) or fallback, int, name)
-
-
 def _dynamics(d) -> DynamicsParams:
     return DynamicsParams(d.get("theta1", "0"), d.get("theta2", "0"),
                           _integer(d.get("eta1", 1)), _integer(d.get("eta2", 1)))
@@ -289,8 +271,8 @@ def _event(spec, exact: bool) -> tuple:
 
 def _enumeration(cfg: dict) -> tuple:
     size = cfg.get("sector_size")
-    return (_integer(cfg.get("k", 2)),
-            _integer(cfg.get("budget", _env_default("ISINGCCP_BUDGET", 5_000_000))),
+    return (_natural(cfg.get("k", 2), 1),
+            _integer(cfg.get("budget", DEFAULT_BUDGET)),
             None if size is None else _integer(size))
 
 
@@ -312,15 +294,16 @@ def _family(cfg: dict, exact: bool, seed: int) -> tuple:
 
 
 def _solver(cfg: dict, seed: int) -> SolverConfig:
-    rank = cfg.get("rank")
+    default = SolverConfig(seed=seed)
+    rank = cfg.get("rank", default.rank)
     return SolverConfig(
-        seed=_natural(cfg.get("seed", seed)),
-        restarts=_natural(cfg.get("restarts", 20), 1),
-        max_iters=_natural(cfg.get("max_iters", 400), 1),
-        tol=_tolerance(cfg.get("tol", 1e-8)),
+        seed=_natural(cfg.get("seed", default.seed)),
+        restarts=_natural(cfg.get("restarts", default.restarts), 1),
+        max_iters=_natural(cfg.get("max_iters", default.max_iters), 1),
+        tol=_tolerance(cfg.get("tol", default.tol)),
         rank=None if rank is None else _integer(rank),
-        commuting_constraint=_boolean(cfg.get("commuting_constraint", False)),
-        max_window_qubits=_integer(cfg.get("max_window_qubits", _env_default("ISINGCCP_MAX_QUBITS", 10))),
+        commuting_constraint=_boolean(cfg.get("commuting_constraint", default.commuting_constraint)),
+        max_window_qubits=_integer(cfg.get("max_window_qubits", default.max_window_qubits)),
     )
 
 
@@ -330,7 +313,7 @@ def _pasts_query(query) -> tuple:
     if not {"a", "b"} <= set(query):
         raise SchemaError('a pasts query needs cones "a" and "b"')
     mode = query.get("mode", "common")
-    if mode not in _PAST_MODES:
+    if mode not in PAST_MODES:
         raise SchemaError(f"unknown past mode {mode!r}; use weak, common or strong")
     probe = _read(query["contains"], _cone, "cone") if "contains" in query else None
     return _read(query["a"], _cone, "cone"), _read(query["b"], _cone, "cone"), mode, probe
@@ -542,10 +525,7 @@ def _run(scenario: Scenario, out_path, timings: bool) -> dict:
     corr = correlation(state)
     results["correlation"] = scalar_json(corr)
     results["sector_correlation"] = scalar_json(sector_correlation(state))
-    if exact:
-        no_corr = is_zero(corr)
-    else:
-        no_corr = abs(corr.real if isinstance(corr, complex) else float(corr)) < 1e-15
+    no_corr = is_zero(corr) if exact else abs(corr.real) < 1e-15
     results["no_correlation"] = bool(no_corr)
 
     if no_corr and ({"enumerate-commuting", "family-residuals", "solve-noncommuting"} & analyses):
@@ -647,7 +627,7 @@ def _cmd_dynamics_beta(args) -> int:
                    "eta1": args.eta1, "eta2": args.eta2},
         "site": str(site),
         "image": str(img),
-        "terms": _operator_json(img),
+        "terms": terms_json(img),
         "localization": _cone_json(localization(img)),
         "primitive_causality": check_primitive_causality(params, site, exact=args.exact),
     })
@@ -670,7 +650,10 @@ def _cmd_ccp_enumerate(args) -> int:
     m = _read(args.m, lambda text: [int(v) for v in text.split(",")], "--m")
     if len(m) == 1:
         m = m * 4
-    result = enumerate_commuting_tuples(weights, m, args.k, budget=args.budget)
+    elif len(m) != 4:
+        raise SchemaError("--m needs one or four comma-separated sector sizes")
+    k = _read(args.k, lambda v: _natural(v, 1), "--k")
+    result = enumerate_commuting_tuples(weights, m, k, budget=args.budget)
     return _emit(_enumeration_json(result, 50))
 
 
@@ -707,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     p_pasts = p_geom.add_parser("pasts", help="weak/common/strong past of two cones")
-    p_pasts.add_argument("--mode", choices=["weak", "common", "strong"], default="common")
+    p_pasts.add_argument("--mode", choices=PAST_MODES, default="common")
     p_pasts.add_argument("--a", required=True, help="cone 't,x' or 't,i,j'")
     p_pasts.add_argument("--b", required=True, help="cone 't,x' or 't,i,j'")
     p_pasts.add_argument("--contains", help="report whether this cone lies in the past")
@@ -748,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="four exact tokens, e.g. '1/4,1/4,1/4+pi/20,1/4-pi/20'")
     p_enum.add_argument("--m", required=True, help="sector sizes, e.g. '4,4,4,4' or '4'")
     p_enum.add_argument("--k", type=int, default=2, help="partition size")
-    p_enum.add_argument("--budget", type=int, default=5_000_000)
+    p_enum.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_enum.set_defaults(func=_cmd_ccp_enumerate)
     p_solve = p_ccp.add_parser("solve-nc", help="numerical search for noncommuting partitions")
     p_solve.add_argument("scenario")

@@ -28,7 +28,11 @@ __all__ = [
     "causal_past",
     "causal_future",
     "pasts",
+    "PAST_MODES",
 ]
+
+# the modes of :func:`pasts`
+PAST_MODES = ("weak", "common", "strong")
 
 
 @dataclass(frozen=True, order=True)

@@ -26,20 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .algebra import (
     Operator,
     commutes,
     is_projection,
     localization,
+    qubit_range,
     support_interval,
+    terms_json,
     to_matrix,
     window_monomials,
 )
 from .causal import noncommuting_ccs_residuals
 from .errors import BudgetError, PreconditionError
-from .geometry import DoubleCone, pasts
+from .geometry import PAST_MODES, DoubleCone, pasts
 from .halfint import from_double, to_double
 from .states import SECTORS, LambdaState, PartitionOfUnity
 
@@ -93,8 +94,6 @@ class Candidate:
     restart: int
 
     def to_dict(self):
-        from .halfint import double_str
-
         return {
             "restart": self.restart,
             "residuals": [float(r) for r in self.residuals],
@@ -104,14 +103,15 @@ class Candidate:
             "cell_trivial": list(self.cell_trivial),
             "support": [str(self.support[0]), str(self.support[1])],
             "localization": self.localization,
-            "projection": [
-                {
-                    "coeff": [c.real, c.imag],
-                    "sites": [double_str(s) for s in sites],
-                }
-                for sites, c in self.projection.terms()
-            ],
+            "projection": terms_json(self.projection),
         }
+
+
+def least_squares(*args, **kwargs):
+    """scipy's ``least_squares``, imported on first use: only the search loads scipy."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 def _selfadjoint_basis(sites: list[int]) -> list[Operator]:
@@ -151,14 +151,13 @@ class _Objective:
         lo, hi = min(lo, sites[0]), max(hi, sites[-1])
         self.mat_win = (from_double(lo), from_double(hi))
 
-        n_full = (hi + 1) // 2 - lo // 2 + 1
+        n_full = len(qubit_range((lo, hi)))
         if n_full > cfg.max_window_qubits:
             raise BudgetError(
                 f"matrix window needs {n_full} qubits, over the budget of {cfg.max_window_qubits}"
             )
         self.dim = dim = 2 ** n_full
-        n_win = (sites[-1] + 1) // 2 - sites[0] // 2 + 1
-        win_dim = 2 ** n_win
+        win_dim = 2 ** len(qubit_range((sites[0], sites[-1])))
         rank = cfg.rank if cfg.rank is not None else win_dim // 2
         if not 0 < rank < win_dim:
             raise PreconditionError(f"rank must lie strictly between 0 and {win_dim}")
@@ -309,7 +308,7 @@ def _postprocess(c_mat, monomials, fstate, sites, dim, a_loc, b_loc, cfg, restar
     cone = DoubleCone(0, to_double(span[0]), to_double(span[1]))
     loc = {
         mode: pasts(a_loc, b_loc, mode).contains(cone)
-        for mode in ("weak", "common", "strong")
+        for mode in PAST_MODES
     }
     cell_trivial = tuple(c.trivial for c in report.cells)
     return Candidate(

@@ -31,6 +31,7 @@ from .algebra import (
     commutes,
     is_projection,
     product_trace,
+    qubit_range,
     support_interval,
 )
 from .errors import ModeError, PreconditionError
@@ -144,13 +145,9 @@ class LambdaState:
         hi = max(to_double(s[1]) for s in spans if s is not None)
         return lo, hi
 
-    def window_qubits(self) -> int:
-        lo, hi = self.window()
-        return (hi + 1) // 2 - lo // 2 + 1
-
     def sector_sizes(self) -> dict:
         """Unnormalized sector ranks m_P = tr(P) * 2^n on the n-qubit window of the events."""
-        n = self.window_qubits()
+        n = len(qubit_range(self.window()))
         out = {}
         for label in SECTORS:
             tr = self.sector_traces[label]

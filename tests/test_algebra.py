@@ -1,3 +1,4 @@
+import math
 import struct
 from fractions import Fraction
 from unittest.mock import patch
@@ -182,6 +183,20 @@ def test_half_site_generator_matrix():
 def test_support_outside_window_rejected():
     with pytest.raises(PreconditionError):
         to_matrix(Operator.generator(5), (0, 1))
+
+
+def test_qubit_range_is_the_oracle_dimension():
+    # doubled windows from -3..3: at most 7 qubits
+    for lo2 in range(-6, 7):
+        for hi2 in range(lo2, 7):
+            window = (Fraction(lo2, 2), Fraction(hi2, 2))
+            qubits = algebra.qubit_range((lo2, hi2))
+            assert qubits == range(math.floor(window[0]), math.ceil(window[1]) + 1)
+            assert to_matrix(Operator.identity(), window).shape[0] == 2 ** len(qubits)
+        with pytest.raises(PreconditionError):
+            algebra.qubit_range((lo2, lo2 - 1))
+        with pytest.raises(PreconditionError):
+            to_matrix(Operator.identity(), (Fraction(lo2, 2), Fraction(lo2 - 1, 2)))
 
 
 def test_oracle_is_a_homomorphism():

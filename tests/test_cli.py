@@ -6,15 +6,17 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from isingccp.causal import DEFAULT_BUDGET
 from isingccp.cli import (
     load_scenario,
     main,
     operator_from_compact,
     operator_from_literal,
+    parse_scenario,
     region_from_literal,
     run_scenario,
 )
-from isingccp import SchemaError, algebra, dynamics
+from isingccp import SchemaError, SolverConfig, algebra, dynamics
 
 
 def run_cli(*argv):
@@ -88,13 +90,6 @@ def test_enumerate_malformed_sector_sizes_is_schema_error(capsys):
     assert "--m" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["ISINGCCP_BUDGET", "ISINGCCP_MAX_QUBITS"])
-def test_malformed_budget_variable_is_schema_error(monkeypatch, capsys, name):
-    monkeypatch.setenv(name, "abc")
-    assert run_cli("run", "common-cause-demo") == 2
-    assert name in capsys.readouterr().err
-
-
 def _demo_scenario_with_partition():
     half_b = [{"coeff": "1/2", "sites": [], "phase": "+1"},
               {"coeff": "1/2", "sites": ["1/2", "1", "3/2"], "phase": "+1"}]
@@ -131,6 +126,16 @@ def test_ccp_solve_nc(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["found"] is True
     assert all(max(c["residuals"]) < 1e-8 for c in out["candidates"])
+
+
+def test_missing_sections_take_the_library_defaults():
+    scenario = parse_scenario({
+        "seed": 7,
+        "events": {"A": {"site": "0", "time": 1}, "B": {"site": "1", "time": 1}},
+        "weights": {"AB": "1/4", "ApBp": "1/4", "ABp": "1/4+pi/20", "ApB": "1/4-pi/20"},
+    })
+    assert scenario.solver == SolverConfig(seed=7)
+    assert scenario.enumeration == (2, DEFAULT_BUDGET, None)
 
 
 def test_malformed_half_integer_is_schema_error(tmp_path, capsys):
@@ -183,6 +188,9 @@ def test_missing_weights_is_schema_error(tmp_path):
     *({"analyses": ["correlation"], "solver": {"tol": tol}}
       for tol in ("nan", "inf", float("nan"), float("inf"), 0, -1, True, "1e-8")),
     *({"analyses": ["correlation"], "solver": {"restarts": n}} for n in (0, -3)),
+    # a partition has at least one cell
+    *({"analyses": ["enumerate-commuting"], "enumerate": {"k": k}} for k in (0, -2)),
+    {"analyses": ["correlation"], "enumerate": {"k": 0}},
 ])
 def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     scenario = {
@@ -202,6 +210,8 @@ def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     ["algebra", "trace", "--op-json", '[{"coeff":"1/2","sites":5}]'],
     ["ccp", "solve-nc", "common-cause-demo", "--restarts", "0"],
     ["ccp", "solve-nc", "common-cause-demo", "--restarts", "-3"],
+    *(["ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", m] for m in ("1,2", "4,4,4,4,4")),
+    *(["ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", "4", "--k", k] for k in ("0", "-1")),
 ])
 def test_malformed_flag_is_schema_error(argv):
     assert run_cli(*argv) == 2
@@ -377,6 +387,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "isingccp" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    ([], False),
+    (["ccp", "enumerate", "--weights", "1/4,1/4,1/4+pi/20,1/4-pi/20", "--m", "4"], False),
+    (["ccp", "solve-nc", "common-cause-demo", "--restarts", "1"], True),
+], ids=["import", "enumerate", "solve-nc"])
+def test_only_the_search_loads_scipy(argv, loads_scipy):
+    program = (
+        "import contextlib, io, sys\n"
+        "import isingccp\n"
+        "from isingccp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r}) if {argv!r} else 0\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", str(loads_scipy)], proc.stderr
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

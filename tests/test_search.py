@@ -35,6 +35,10 @@ def test_finds_screening_projections(state_float):
         part = PartitionOfUnity([cand.projection, Operator.identity() - cand.projection])
         report = noncommuting_ccs_residuals(state_float, part)
         assert max(abs(c.residual.real) for c in report.cells) < 1e-8
+        # the report lists the projection's terms exactly
+        terms = [(complex(*t["coeff"]), [Fraction(s) for s in t["sites"]])
+                 for t in cand.to_dict()["projection"]]
+        assert Operator.from_terms(terms) == cand.projection
 
 
 def test_exact_state_is_coerced(state_exact):
