@@ -272,8 +272,8 @@ def _event(spec, exact: bool) -> tuple:
 def _enumeration(cfg: dict) -> tuple:
     size = cfg.get("sector_size")
     return (_natural(cfg.get("k", 2), 1),
-            _integer(cfg.get("budget", DEFAULT_BUDGET)),
-            None if size is None else _integer(size))
+            _natural(cfg.get("budget", DEFAULT_BUDGET)),
+            None if size is None else _natural(size, 1))
 
 
 def _family(cfg: dict, exact: bool, seed: int) -> tuple:
@@ -303,7 +303,7 @@ def _solver(cfg: dict, seed: int) -> SolverConfig:
         tol=_tolerance(cfg.get("tol", default.tol)),
         rank=None if rank is None else _integer(rank),
         commuting_constraint=_boolean(cfg.get("commuting_constraint", default.commuting_constraint)),
-        max_window_qubits=_integer(cfg.get("max_window_qubits", default.max_window_qubits)),
+        max_window_qubits=_natural(cfg.get("max_window_qubits", default.max_window_qubits)),
     )
 
 
@@ -322,7 +322,7 @@ def _pasts_query(query) -> tuple:
 def _plot(name: str, cfg) -> tuple:
     if name not in _PLOT_POINTS or not isinstance(cfg, dict) or not isinstance(cfg.get("path", ""), str):
         raise ValueError('plots are "family_grid" and "weight_sweep", each {"n": ..., "path": ...}')
-    return _integer(cfg.get("n", _PLOT_POINTS[name])), cfg.get("path", f"{name}.csv")
+    return _natural(cfg.get("n", _PLOT_POINTS[name]), 1), cfg.get("path", f"{name}.csv")
 
 
 def parse_scenario(raw) -> Scenario:
@@ -647,13 +647,14 @@ def _cmd_ccp_enumerate(args) -> int:
     weights = [_read(tok, parse_exact, "--weights") for tok in args.weights.split(",")]
     if len(weights) != 4:
         raise SchemaError("--weights needs four comma-separated exact tokens")
-    m = _read(args.m, lambda text: [int(v) for v in text.split(",")], "--m")
+    m = _read(args.m, lambda text: [_natural(int(v), 1) for v in text.split(",")], "--m")
     if len(m) == 1:
         m = m * 4
     elif len(m) != 4:
         raise SchemaError("--m needs one or four comma-separated sector sizes")
     k = _read(args.k, lambda v: _natural(v, 1), "--k")
-    result = enumerate_commuting_tuples(weights, m, k, budget=args.budget)
+    budget = _read(args.budget, _natural, "--budget")
+    result = enumerate_commuting_tuples(weights, m, k, budget=budget)
     return _emit(_enumeration_json(result, 50))
 
 

@@ -114,27 +114,9 @@ def least_squares(*args, **kwargs):
     return scipy_least_squares(*args, **kwargs)
 
 
-def _selfadjoint_basis(sites: list[int]) -> list[Operator]:
-    """Hermitian monomial basis of the window algebra, identity excluded."""
-    return [
-        Operator.from_terms([(1.0 if sign > 0 else 1j, word)])
-        for word, sign in window_monomials(sites)
-    ]
-
-
-def _window_sites(window: DoubleCone) -> list[int]:
-    if window.t != 0:
-        raise PreconditionError("the search window must sit on the Cauchy surface (t = 0)")
-    return window.sites()
-
-
-def _chop(op: Operator, tol: float = 1e-12) -> Operator:
-    kept = [(c, [from_double(s) for s in sites]) for sites, c in op.terms() if abs(c) > tol]
-    return Operator.from_terms(kept).with_labels(op.time, op.base)
-
-
 class _Objective:
-    """The search's residual rows over the matrix window, for many points at once.
+    """One search window: its matrices, its residual rows for many points at
+    once, and the check of each restart's candidate.
 
     ``rows(xs)`` maps a ``(k, n)`` stack of coefficient vectors to their
     ``(k, m)`` residual rows, ``m`` being 2, or 4 under the commuting
@@ -146,7 +128,12 @@ class _Objective:
     norm is its own ``np.linalg.norm`` call.
     """
 
-    def __init__(self, fstate: LambdaState, sites: list[int], cfg: SolverConfig):
+    def __init__(self, fstate: LambdaState, window: DoubleCone, cfg: SolverConfig):
+        if window.t != 0:
+            raise PreconditionError("the search window must sit on the Cauchy surface (t = 0)")
+        self.fstate, self.cfg = fstate, cfg
+        self.sites = sites = window.sites()
+        self.a_loc, self.b_loc = localization(fstate.a), localization(fstate.b)
         lo, hi = fstate.window()
         lo, hi = min(lo, sites[0]), max(hi, sites[-1])
         self.mat_win = (from_double(lo), from_double(hi))
@@ -164,10 +151,17 @@ class _Objective:
         self.rank_full = rank * (dim // win_dim)
         self.constrained = cfg.commuting_constraint
 
-        basis = _selfadjoint_basis(sites)
-        self.basis_flat = np.array([to_matrix(h, self.mat_win) for h in basis]).reshape(
-            len(basis), dim * dim
-        )
+        # the Hermitian basis of the window algebra (identity excluded): a
+        # monomial, or i times it when its adjoint is minus itself.  ``judge``
+        # expands candidates in the monomials' own matrices; -1j times the
+        # matrix of i U could differ from that of U in the sign of a zero
+        basis, self.monomials = [], []
+        for word, sign in window_monomials(sites):
+            h = to_matrix(Operator.from_terms([(1.0 if sign > 0 else 1j, word)]), self.mat_win)
+            mono = h if sign > 0 else to_matrix(Operator.from_terms([(1.0, word)]), self.mat_win)
+            basis.append(h)
+            self.monomials.append((word, sign, mono))
+        self.basis_flat = np.array(basis).reshape(len(basis), dim * dim)
         self.sector_mats = [to_matrix(fstate.sectors[k].to_float(), self.mat_win) for k in SECTORS]
         self.rho = fstate.density_matrix(self.mat_win)
         self.a_mat = to_matrix(fstate.a, self.mat_win)
@@ -221,6 +215,62 @@ class _Objective:
         np.fill_diagonal(xs, stepped)
         return ((self.rows(xs) - f0) / (stepped - x)[:, None]).T
 
+    def judge(self, c_mat: np.ndarray, restart: int, objective: float) -> Candidate | None:
+        """The candidate for a restart's projection matrix ``c_mat``, or None
+        when it fails one of the checks, in this order: it leaves the window
+        algebra, is not a projection, gives no partition of unity, has a
+        residual at or above ``tol``, or breaks the commuting constraint."""
+        # expand the matrix in the window's monomial basis and confirm it stays
+        # inside the window algebra (eigenvalue ties can push it outside)
+        dim = self.dim
+        unit = np.trace(c_mat).real / dim
+        terms = [(unit, ())]
+        recon = unit * np.eye(dim, dtype=complex)
+        for word, sign, mono_mat in self.monomials:
+            # monomial matrices are HS-orthonormal; the adjoint of one is its
+            # reversal sign times itself
+            c = sign * np.trace(mono_mat @ c_mat) / dim
+            terms.append((complex(c), word))
+            recon = recon + c * mono_mat
+        if np.linalg.norm(recon - c_mat) > 1e-8:
+            return None
+        # keep the terms above 1e-11, inserted in ``Operator.terms()`` order:
+        # the float sums of the checks below depend on the insertion order
+        kept = sorted((term for term in terms if abs(term[0]) > 1e-11),
+                      key=lambda term: [to_double(s) for s in term[1]])
+        c_op = Operator.from_terms(kept)
+        if c_op.is_zero or not is_projection(c_op, 1e-8):
+            return None
+        try:
+            part = PartitionOfUnity([c_op, Operator.identity() - c_op], tol=1e-7)
+        except PreconditionError:
+            return None
+        fstate, cfg = self.fstate, self.cfg
+        report = noncommuting_ccs_residuals(fstate, part, tol=cfg.tol)
+        residuals = tuple(abs(c.residual.real) for c in report.cells)
+        if max(residuals) >= cfg.tol:
+            return None
+        comm = commutes(c_op, fstate.a, 1e-9) and commutes(c_op, fstate.b, 1e-9)
+        if self.constrained and not comm:
+            return None
+        span = support_interval(c_op)
+        if span is None:
+            span = (from_double(self.sites[0]), from_double(self.sites[-1]))
+        cone = DoubleCone(0, to_double(span[0]), to_double(span[1]))
+        cell_trivial = tuple(c.trivial for c in report.cells)
+        return Candidate(
+            projection=c_op,
+            residuals=residuals,
+            objective=objective,
+            commuting=comm,
+            cell_trivial=cell_trivial,
+            trivial=all(cell_trivial),
+            support=span,
+            localization={mode: pasts(self.a_loc, self.b_loc, mode).contains(cone)
+                          for mode in PAST_MODES},
+            restart=restart,
+        )
+
 
 def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | None = None) -> list:
     """Search the algebra of a ``DoubleCone`` window at t = 0 for two-cell
@@ -234,28 +284,14 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
     also commute with both events.
     """
     cfg = config or SolverConfig()
-    fstate = state.to_float()
-    sites = _window_sites(window)
-
-    a_loc = localization(fstate.a)
-    b_loc = localization(fstate.b)
-    obj = _Objective(fstate, sites, cfg)
+    obj = _Objective(state.to_float(), window, cfg)
     n = len(obj.basis_flat)
-    # the monomial matrices of the expansion in _postprocess; for a positive
-    # reversal sign the basis element is the monomial itself
-    monomials = [
-        (word, sign, flat.reshape(obj.dim, obj.dim) if sign > 0
-         else to_matrix(Operator.from_terms([(1.0, word)]), obj.mat_win))
-        for (word, sign), flat in zip(window_monomials(sites), obj.basis_flat)
-    ]
-
     candidates = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        x0 = rng.normal(size=n)
         result = least_squares(
             obj.fun,
-            x0,
+            rng.normal(size=n),
             method="trf",
             jac=obj.jac,
             xtol=1e-15,
@@ -263,62 +299,8 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
             gtol=1e-15,
             max_nfev=cfg.max_iters * n,
         )
-        c_mat = obj.projectors(result.x[None])[0]
-        cand = _postprocess(
-            c_mat, monomials, fstate, sites, obj.dim,
-            a_loc, b_loc, cfg, restart, float(np.sum(result.fun ** 2)),
-        )
+        cand = obj.judge(obj.projectors(result.x[None])[0], restart,
+                         float(np.sum(result.fun ** 2)))
         if cand is not None:
             candidates.append(cand)
     return candidates
-
-
-def _postprocess(c_mat, monomials, fstate, sites, dim, a_loc, b_loc, cfg, restart, objective):
-    # expand the matrix in the window's monomial basis and confirm it stays
-    # inside the window algebra (eigenvalue ties can push it outside)
-    unit = np.trace(c_mat).real / dim
-    terms = [(unit, ())]
-    recon = unit * np.eye(dim, dtype=complex)
-    for word, sign, mono_mat in monomials:
-        # monomial matrices are HS-orthonormal; the adjoint of one is its
-        # reversal sign times itself
-        c = sign * np.trace(mono_mat @ c_mat) / dim
-        terms.append((complex(c), word))
-        recon = recon + c * mono_mat
-    if np.linalg.norm(recon - c_mat) > 1e-8:
-        return None
-    c_op = _chop(Operator.from_terms(terms), 1e-11)
-    if c_op.is_zero or not is_projection(c_op, 1e-8):
-        return None
-    one = Operator.identity()
-    try:
-        part = PartitionOfUnity([c_op, one - c_op], tol=1e-7)
-    except PreconditionError:
-        return None
-    report = noncommuting_ccs_residuals(fstate, part, tol=cfg.tol)
-    residuals = tuple(abs(c.residual.real) for c in report.cells)
-    if max(residuals) >= cfg.tol:
-        return None
-    comm = commutes(c_op, fstate.a, 1e-9) and commutes(c_op, fstate.b, 1e-9)
-    if cfg.commuting_constraint and not comm:
-        return None
-    span = support_interval(c_op)
-    if span is None:
-        span = (from_double(sites[0]), from_double(sites[-1]))
-    cone = DoubleCone(0, to_double(span[0]), to_double(span[1]))
-    loc = {
-        mode: pasts(a_loc, b_loc, mode).contains(cone)
-        for mode in PAST_MODES
-    }
-    cell_trivial = tuple(c.trivial for c in report.cells)
-    return Candidate(
-        projection=c_op,
-        residuals=residuals,
-        objective=objective,
-        commuting=comm,
-        cell_trivial=cell_trivial,
-        trivial=all(cell_trivial),
-        support=span,
-        localization=loc,
-        restart=restart,
-    )

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -66,6 +67,19 @@ def test_constructed_common_cause_space():
     assert not report.trivial
     assert report.extras["relevance_A"] == F(3, 5)
     assert report.extras["positive_relevance"] is True
+
+
+def test_classical_report_json_carries_the_relevances():
+    c_block = [F(1, 2) * x for x in (F(16, 25), F(4, 25), F(4, 25), F(1, 25))]
+    cp_block = [F(1, 2) * x for x in (F(1, 25), F(4, 25), F(4, 25), F(16, 25))]
+    space = ProbabilitySpace(c_block + cp_block)
+    report = classical_ccs_check(space, {0, 1, 4, 5}, {0, 2, 4, 6}, [{0, 1, 2, 3}, {4, 5, 6, 7}])
+    out = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert out["extras"] == {
+        "relevance_A": {"exact": "3/5", "float": 0.6},
+        "relevance_B": {"exact": "3/5", "float": 0.6},
+        "positive_relevance": True,
+    }
 
 
 def test_event_partition_is_trivially_screening():

@@ -84,6 +84,12 @@ def test_enumerate_budget_exit_code(capsys):
     assert code == 3
 
 
+def test_enumerate_budget_of_zero_is_well_formed_and_admits_nothing():
+    code = run_cli("ccp", "enumerate", "--weights", "1/4,1/4,1/4+pi/20,1/4-pi/20",
+                   "--m", "4", "--budget", "0")
+    assert code == 3
+
+
 def test_enumerate_malformed_sector_sizes_is_schema_error(capsys):
     code = run_cli("ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", "x", "--k", "2")
     assert code == 2
@@ -191,6 +197,11 @@ def test_missing_weights_is_schema_error(tmp_path):
     # a partition has at least one cell
     *({"analyses": ["enumerate-commuting"], "enumerate": {"k": k}} for k in (0, -2)),
     {"analyses": ["correlation"], "enumerate": {"k": 0}},
+    # sector sizes and plot sizes are at least 1, budgets at least 0
+    *({"analyses": ["enumerate-commuting"], "enumerate": {"sector_size": m}} for m in (0, -4)),
+    {"analyses": ["enumerate-commuting"], "enumerate": {"budget": -1}},
+    {"analyses": ["solve-noncommuting"], "solver": {"max_window_qubits": -1}},
+    *({"plots": {name: {"n": n}}} for name in ("weight_sweep", "family_grid") for n in (0, -2)),
 ])
 def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     scenario = {
@@ -212,6 +223,8 @@ def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     ["ccp", "solve-nc", "common-cause-demo", "--restarts", "-3"],
     *(["ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", m] for m in ("1,2", "4,4,4,4,4")),
     *(["ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", "4", "--k", k] for k in ("0", "-1")),
+    *(["ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", m] for m in ("0", "4,0,4,4", "-1")),
+    ["ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", "4", "--budget", "-1"],
 ])
 def test_malformed_flag_is_schema_error(argv):
     assert run_cli(*argv) == 2

@@ -8,6 +8,7 @@ from isingccp.exact import is_zero, zero
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.lists(rationals, min_size=0, max_size=4)
+gaussians = st.tuples(rationals, rationals).map(lambda t: ExactScalar(*t))
 
 
 def scalar(re=(), im=()):
@@ -46,6 +47,28 @@ def test_multiplication_distributes(p, q, r):
 @given(polys, polys)
 def test_multiplication_commutes(p, q):
     assert scalar(p) * scalar(q) == scalar(q) * scalar(p)
+
+
+@given(polys, polys, rationals)
+def test_subtraction_from_a_rational_negates(p, q, n):
+    x = scalar(p, q)
+    assert n - x == -(x - n)
+
+
+@given(gaussians.filter(bool), rationals)
+def test_a_rational_over_a_gaussian_divides_back(x, n):
+    assert (n / x) * x == n
+
+
+@given(polys, polys, gaussians.filter(bool))
+def test_division_by_a_gaussian_divides_back(p, q, y):
+    x = scalar(p, q)
+    assert (x / y) * y == x
+
+
+def test_str_of_a_complex_value():
+    assert str(ExactScalar(0, Fraction(1, 2))) == "(1/2)*i"
+    assert str(parse_exact("1/4+pi/20") + EXACT_I * parse_exact("pi^2")) == "(1/4+1/20*pi)+(pi^2)*i"
 
 
 def test_parse_tokens():

@@ -18,6 +18,7 @@ from isingccp import (
     build_lambda_state,
     noncommuting_ccs_residuals,
     solve_noncommuting_cc,
+    to_matrix,
 )
 
 WINDOW = DoubleCone.span(0, 0, 1)
@@ -99,6 +100,53 @@ def test_surface_window_required(state_float):
         solve_noncommuting_cc(state_float, DoubleCone.span(1, 0, 1), SolverConfig(restarts=1))
 
 
+# -- the window object's check of a restart's candidate ------------------------
+
+
+@pytest.fixture(scope="module")
+def solution(state_float):
+    """A zero-residual noncommuting candidate of the free search."""
+    found = solve_noncommuting_cc(state_float, WINDOW, SolverConfig(seed=5, restarts=1))
+    assert found and not found[0].commuting
+    return found[0]
+
+
+def test_judge_rejects_a_matrix_outside_the_search_window(state_float, solution):
+    obj = search._Objective(state_float, WINDOW, SolverConfig())
+    # rotate the solution by exp(i e U(3/2)): still a projection on the matrix
+    # window, but off the search window's algebra by O(e), while its expansion
+    # in that algebra is a projection up to O(e**2)
+    assert obj.mat_win[1] == Fraction(3, 2) and 3 not in obj.sites
+    e = 1e-5
+    x = to_matrix(Operator.from_terms([(1.0, [Fraction(3, 2)])]), obj.mat_win)
+    v = np.cos(e) * np.eye(obj.dim) + 1j * np.sin(e) * x
+    c_mat = to_matrix(solution.projection, obj.mat_win)
+    assert obj.judge(c_mat, 0, 0.0) is not None
+    assert obj.judge(v @ c_mat @ v.conj().T, 0, 0.0) is None
+
+
+def test_judge_rejects_a_non_projection(state_float):
+    obj = search._Objective(state_float, WINDOW, SolverConfig())
+    assert obj.judge(0.5 * np.eye(obj.dim), 0, 0.0) is None
+
+
+def test_judge_rejects_a_noncommuting_solution_under_the_constraint(state_float, solution):
+    free = search._Objective(state_float, WINDOW, SolverConfig())
+    c_mat = to_matrix(solution.projection, free.mat_win)
+    accepted = free.judge(c_mat, 3, 0.25)
+    assert (accepted.projection - solution.projection).is_close_to_zero(1e-12)
+    assert (accepted.restart, accepted.objective, accepted.commuting) == (3, 0.25, False)
+    # the projection holds its terms in the order terms() lists them, so a
+    # rebuild from that list sums its residuals to the same bits
+    rebuilt = Operator.from_terms([(c, [Fraction(s, 2) for s in sites])
+                                   for sites, c in accepted.projection.terms()])
+    report = noncommuting_ccs_residuals(
+        state_float, PartitionOfUnity([rebuilt, Operator.identity() - rebuilt]))
+    assert tuple(abs(c.residual.real) for c in report.cells) == accepted.residuals
+    constrained = search._Objective(state_float, WINDOW, SolverConfig(commuting_constraint=True))
+    assert constrained.judge(c_mat, 3, 0.25) is None
+
+
 # -- the batched objective against a per-point reference -----------------------
 
 SEARCH_WINDOWS = [WINDOW, DoubleCone.span(0, 0, 2)]  # one and two sites wide
@@ -143,7 +191,7 @@ def _per_point(obj):
 
 def _objective(state, window, constrained):
     cfg = SolverConfig(commuting_constraint=constrained)
-    return search._Objective(state.to_float(), search._window_sites(window), cfg)
+    return search._Objective(state.to_float(), window, cfg)
 
 
 @settings(max_examples=25, deadline=None)
