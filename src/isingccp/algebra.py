@@ -300,15 +300,19 @@ def _float_sum(a: _Arrays, b: _Arrays) -> _Arrays:
     return _nonzero(keys, re, im, a.low, a.width)
 
 
-def _float_product_trace(a: _Arrays, b: _Arrays) -> complex:
+def _float_product_trace(a: _Arrays, b: _Arrays, order: np.ndarray) -> complex:
     """Normalized trace of the product of two aligned float operators, summed
     as the dict loop of :func:`product_trace` sums it: over a's keys that b
-    holds, in a's order, sequentially from 0.0."""
-    _, slot = _group(np.concatenate((b.keys, a.keys)), a.width)
-    at = slot[len(b.keys):]
-    hit = at < len(b.keys)
+    holds, in a's order, sequentially from 0.0.  ``order`` sorts b's keys."""
+    if not len(order):
+        return 0j
+    ranked = b.keys[order]
+    # a key above the largest is looked up at the last slot, and found unequal
+    at = np.minimum(np.searchsorted(ranked, a.keys), len(ranked) - 1)
+    hit = ranked[at] == a.keys
+    at = order[at[hit]]
     keys, xr, xi = a.keys[hit], a.re[hit], a.im[hit]
-    yr, yi = b.re[at[hit]], b.im[at[hit]]
+    yr, yi = b.re[at], b.im[at]
     odd = _odd_arrays(keys, keys)
     pr, pi = xr * yr - xi * yi, xr * yi + xi * yr
     np.negative(pr, out=pr, where=odd)
@@ -321,6 +325,7 @@ def _operator(terms, arrays, exact, time, base) -> "Operator":
     """An operator over terms already free of zero coefficients."""
     op = Operator.__new__(Operator)
     op._dict, op._arr, op.exact, op.time, op.base = terms, arrays, exact, time, base
+    op._order = None
     return op
 
 
@@ -341,11 +346,12 @@ class Operator:
     takes the form that operator already has.
     """
 
-    __slots__ = ("_dict", "_arr", "exact", "time", "base")
+    __slots__ = ("_dict", "_arr", "_order", "exact", "time", "base")
 
     def __init__(self, terms: dict, exact: bool, time=0, base=None):
         self._dict = {s: c for s, c in terms.items() if not is_zero(c)}
         self._arr = None
+        self._order = None
         self.exact = exact
         self.time = time
         self.base = base
@@ -375,6 +381,15 @@ class Operator:
             self._arr = _Arrays(np.array([k >> low for k in self._dict], dtype=np.int64),
                                 coeffs.real.copy(), coeffs.imag.copy(), low, width)
         return self._arr
+
+    def _key_order(self) -> np.ndarray:
+        """The permutation that sorts the keys of :meth:`_arrays`, found on first
+        use, so the product traces of several operators against this one (a
+        state's four sectors) sort its keys once.  Aligning shifts every key
+        left by one amount, so the permutation sorts the aligned keys too."""
+        if self._order is None:
+            self._order = np.argsort(self._arrays().keys)
+        return self._order
 
     # -- constructors -----------------------------------------------------
 
@@ -602,7 +617,7 @@ def product_trace(x: Operator, y: Operator):
     x._check_mode(y)
     pair = _aligned(x, y) if len(x) + len(y) >= _ARRAY_WORK else None
     if pair is not None:
-        return _float_product_trace(*pair)
+        return _float_product_trace(*pair, y._key_order())
     total = zero(x.exact)
     terms = y._terms
     for s, cx in x._terms.items():

@@ -22,16 +22,42 @@ __all__ = ["ExactScalar", "parse_exact", "PI", "EXACT_I"]
 _ZERO = Fraction(0)
 
 
+# Coefficient types a scalar refuses: floats and complex numbers are inexact,
+# and a bool is a truth value, not a number.
+_INEXACT = (float, complex, bool)
+# A single number given for a part is its constant coefficient.
+_NUMBERS = (int, Fraction, float, complex)
+
+
 def _trim(coeffs) -> tuple:
-    out = list(coeffs)
-    while out and out[-1] == 0:
+    """Coefficients as a tuple of Fractions without trailing zeros.
+
+    The normaliser of :class:`ExactScalar` and :func:`_polydiv`; the helpers
+    below take and return tuples already in this form and do not redo it."""
+    out = []
+    for c in coeffs:
+        if isinstance(c, _INEXACT):
+            raise ExactnessError(
+                f"exact scalars take int or Fraction coefficients, not {type(c).__name__}"
+            )
+        out.append(Fraction(c))
+    return _strip(out)
+
+
+def _strip(out: list) -> tuple:
+    """A fresh list of Fractions as a tuple, without its trailing zeros."""
+    while out and not out[-1]:
         out.pop()
-    return tuple(Fraction(c) for c in out)
+    return tuple(out)
 
 
 def _add(a, b):
-    n = max(len(a), len(b))
-    return _trim((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return _strip(out)
 
 
 def _neg(a):
@@ -47,7 +73,7 @@ def _conv(a, b):
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return _trim(out)
+    return _strip(out)
 
 
 def _scale(a, f):
@@ -127,7 +153,8 @@ class ExactScalar:
     """An element of Q(i)[pi], i.e. sum_k (a_k + i*b_k) * pi^k with a_k, b_k rational.
 
     Instances are immutable.  Arithmetic mixes freely with int and Fraction;
-    mixing with floats raises :class:`~isingccp.errors.ExactnessError` so that
+    mixing with floats, or building a scalar from float, complex or bool
+    coefficients, raises :class:`~isingccp.errors.ExactnessError` so that
     exact decisions can never silently degrade to floating point.
 
     Order comparisons apply to real elements only and are exact: a nonzero
@@ -137,10 +164,10 @@ class ExactScalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=(), im=()):
-        if isinstance(re, (int, Fraction)):
-            re = (Fraction(re),)
-        if isinstance(im, (int, Fraction)):
-            im = (Fraction(im),)
+        if isinstance(re, _NUMBERS):
+            re = (re,)
+        if isinstance(im, _NUMBERS):
+            im = (im,)
         object.__setattr__(self, "re", _trim(re))
         object.__setattr__(self, "im", _trim(im))
 
@@ -149,7 +176,7 @@ class ExactScalar:
 
     @classmethod
     def pi_power(cls, k: int, coeff=1) -> "ExactScalar":
-        return cls((0,) * k + (Fraction(coeff),))
+        return cls((0,) * k + (coeff,))
 
     @staticmethod
     def _coerce(other):

@@ -129,6 +129,60 @@ def test_float_mixing_rejected():
         ExactScalar(1) * 1j
 
 
+@pytest.mark.parametrize("re, im", [
+    ((0.1,), ()),            # would be 3602879701896397/36028797018963968
+    ((1,), (0.5,)),          # would be 1+(1/2)i
+    (0.5, ()),
+    (True, ()),              # would be 1
+    ((Fraction(1, 2), True), ()),
+    (1j, ()),
+    ((), (1 + 0j,)),
+    ((1, 2.0), ()),
+])
+def test_constructor_refuses_inexact_and_bool_coefficients(re, im):
+    with pytest.raises(ExactnessError):
+        ExactScalar(re, im)
+
+
+@pytest.mark.parametrize("coeff", [0.5, True, 1j])
+def test_pi_power_refuses_inexact_and_bool_coefficients(coeff):
+    with pytest.raises(ExactnessError):
+        ExactScalar.pi_power(2, coeff)
+
+
+def test_constructor_converts_ints_and_fractions():
+    x = ExactScalar((1, Fraction(2, 4), 0), 3)
+    assert x.re == (Fraction(1), Fraction(1, 2)) and x.im == (Fraction(3),)
+    assert all(type(c) is Fraction for c in x.re + x.im)
+    assert ExactScalar.pi_power(2, 3) == scalar((0, 0, 3))
+
+
+# pi powers up to 3, with imaginary parts
+pi_gaussians = st.builds(scalar, polys, polys)
+
+
+def _assert_normalised(r):
+    for part in (r.re, r.im):
+        assert type(part) is tuple
+        assert all(type(c) is Fraction for c in part)
+        assert not part or part[-1] != 0
+    again = ExactScalar(r.re, r.im)
+    assert r == again and str(r) == str(again) and hash(r) == hash(again)
+
+
+@given(pi_gaussians, pi_gaussians, gaussians.filter(bool), rationals)
+def test_arithmetic_keeps_trimmed_fraction_tuples(x, y, g, n):
+    # the helpers behind the operators skip the constructor's trim, so every
+    # result must already be in the form the constructor would give it
+    results = [x + y, x - y, x * y, -x, x.conjugate(), x / g, x + n, n - x, x * n]
+    if y:
+        results.append((x * y) / y)
+    if x:
+        results.append(x / x)
+    for r in results:
+        _assert_normalised(r)
+
+
 def test_ordering_of_real_values():
     assert parse_exact("1/4") < parse_exact("1/4+pi/20")
     assert parse_exact("1/4-pi/20") > 0

@@ -23,6 +23,19 @@ def test_common_cause_demo_report_without_the_solver():
     assert text == (FIXTURES / "common-cause-demo-without-solver.json").read_text()
 
 
+@pytest.mark.parametrize("name", [
+    # B at 3/2 (sector size 8) with unbalanced pi weights: pi^2 in the
+    # correlation and a pi-polynomial quotient in the screening weight
+    "exact-pi-unbalanced-m8",
+    # rational weights with k = 3: the enumeration decides rational cell ratios
+    "exact-rational-k3",
+])
+def test_exact_report(name):
+    report = run_scenario(str(FIXTURES / f"{name}.scenario.json"))
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert text == (FIXTURES / f"{name}.json").read_text()
+
+
 @pytest.mark.parametrize("fixture, weights, m, k", [
     # pi weights: only the trivial profiles satisfy the identity
     ("enumerate-pi-m8-k2.json", "1/4,1/4,1/4+pi/20,1/4-pi/20", "8", "2"),

@@ -1,23 +1,36 @@
+import struct
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isingccp import algebra
 from isingccp import (
+    DynamicsParams,
     ExactScalar,
     ModeError,
     Operator,
     PartitionOfUnity,
     PreconditionError,
+    apply_beta,
     build_lambda_state,
     commutes,
     conditional_expectation,
     correlation,
     parse_exact,
+    product_trace,
     sector_correlation,
     to_matrix,
 )
-from isingccp.states import DegenerateSectorError, LambdaState, NoncommutingEventsError, WeightError
+from isingccp.states import (
+    SECTORS,
+    DegenerateSectorError,
+    LambdaState,
+    NoncommutingEventsError,
+    WeightError,
+)
 from conftest import half_sum, random_operator
 
 HALF = Fraction(1, 2)
@@ -98,6 +111,47 @@ def test_uniform_weights_reproduce_the_trace(events_float):
     for _ in range(20):
         x = random_operator(rng)
         assert abs(state.evaluate(x) - complex(x.trace())) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def generic_states(events_float):
+    """A state on small sectors (4 terms, dict loops) and one on t = 2 events
+    at generic angles (288 terms each, arrays)."""
+    params = DynamicsParams(0.3, 0.7, 1, 1)
+    a, b = (apply_beta(params, half_sum(site), 2) for site in (0, 1))
+    weights = {"AB": 0.1, "ApBp": 0.2, "ABp": 0.3, "ApB": 0.4}
+    return build_lambda_state(*events_float, weights), build_lambda_state(a, b, weights)
+
+
+_parts = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.1]) | st.floats(-10, 10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.sampled_from([0, 1]),
+       terms=st.dictionaries(st.frozensets(st.integers(-3, 5), max_size=4),
+                             st.builds(complex, _parts, _parts), max_size=40),
+       sector=st.sampled_from([None, *SECTORS]),
+       offset=st.sampled_from([0, 7, 40]),
+       work=st.sampled_from([1, algebra._ARRAY_WORK]))
+def test_evaluate_matches_one_product_trace_per_sector(generic_states, which, terms, sector,
+                                                       offset, work):
+    # evaluate sorts x's keys once for its four sectors; the result must still
+    # equal four product_trace calls by the dict loops, bit for bit.  An offset
+    # moves x off the events' sites, so the operands align at different shifts.
+    state = generic_states[which]
+    x = Operator.from_terms([(c, [Fraction(d + offset, 2) for d in sorted(sites)])
+                             for sites, c in terms.items()])
+    if sector is not None:
+        x = x + state.sectors[sector]
+    expected = 0j
+    with patch.object(algebra, "_ARRAY_WORK", 1 << 30):
+        for label in SECTORS:
+            expected = expected + (state.weights[label] * product_trace(state.sectors[label], x)
+                                   / state.sector_traces[label])
+    with patch.object(algebra, "_ARRAY_WORK", work):
+        value = state.evaluate(x)
+    assert struct.pack("<dd", value.real, value.imag) == struct.pack(
+        "<dd", expected.real, expected.imag)
 
 
 def test_correlation_values(state_exact, events_float):
