@@ -18,90 +18,27 @@ The package provides, layer by layer:
 
 Exact mode carries scalars in Q(i)[pi] so correlation values and the
 commuting screening-off decision are computed with no floating tolerance.
+
+The package republishes each module's ``__all__`` but those of cli and halfint.
 """
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    DEFAULT_TOL,
-    Operator,
-    commutes,
-    is_projection,
-    localization,
-    product_trace,
-    support_interval,
-    to_matrix,
-    window_monomials,
-)
-from .causal import (
-    CcsReport,
-    EnumerationResult,
-    ProbabilitySpace,
-    classical_ccs_check,
-    common_cause_candidate,
-    commuting_ccs_residuals,
-    enumerate_commuting_tuples,
-    exact_wccp_decision,
-    noncommuting_ccs_residuals,
-    screening_weight,
-)
-from .dynamics import (
-    DynamicsParams,
-    alpha_shift,
-    apply_beta,
-    beta_generator_image,
-    check_primitive_causality,
-)
-from .errors import (
-    BudgetError,
-    ExactnessError,
-    ModeError,
-    PreconditionError,
-    SchemaError,
-)
-from .exact import EXACT_I, PI, ExactScalar, parse_exact
-from .geometry import (
-    DoubleCone,
-    Region,
-    causal_future,
-    causal_past,
-    pasts,
-    spacelike_separated,
-)
-from .search import Candidate, SolverConfig, solve_noncommuting_cc
-from .states import (
-    SECTORS,
-    LambdaState,
-    PartitionOfUnity,
-    build_lambda_state,
-    conditional_expectation,
-    correlation,
-    sector_correlation,
-)
+from .algebra import *
+from .causal import *
+from .dynamics import *
+from .errors import *
+from .exact import *
+from .geometry import *
+from .search import *
+from .states import *
 
-__all__ = [
-    "__version__",
-    # algebra
-    "DEFAULT_TOL", "Operator", "commutes", "is_projection",
-    "localization", "product_trace",
-    "support_interval", "to_matrix", "window_monomials",
-    # causal analysis
-    "CcsReport", "EnumerationResult", "ProbabilitySpace", "classical_ccs_check",
-    "common_cause_candidate", "commuting_ccs_residuals", "enumerate_commuting_tuples",
-    "exact_wccp_decision", "noncommuting_ccs_residuals", "screening_weight",
-    # dynamics
-    "DynamicsParams", "alpha_shift", "apply_beta", "beta_generator_image",
-    "check_primitive_causality",
-    # errors
-    "BudgetError", "ExactnessError", "ModeError", "PreconditionError", "SchemaError",
-    # exact scalars
-    "EXACT_I", "PI", "ExactScalar", "parse_exact",
-    # geometry
-    "DoubleCone", "Region", "causal_future", "causal_past",
-    "pasts", "spacelike_separated",
-    # search
-    "Candidate", "SolverConfig", "solve_noncommuting_cc",
-    # states
-    "SECTORS", "LambdaState", "PartitionOfUnity", "build_lambda_state",
-    "conditional_expectation", "correlation", "sector_correlation",
-]
+__all__ = ["__version__"]
+__all__ += algebra.__all__
+__all__ += causal.__all__
+__all__ += dynamics.__all__
+__all__ += errors.__all__
+__all__ += exact.__all__
+__all__ += geometry.__all__
+__all__ += search.__all__
+__all__ += states.__all__

@@ -32,14 +32,13 @@ must lie at or above -32 (doubled -64); lower sites raise
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModeError, PreconditionError
-from .exact import ExactScalar, is_zero, zero
+from .exact import ExactScalar, coerce, is_zero, zero
 from .geometry import DoubleCone
 from .halfint import double_str, from_double, to_double
 
@@ -122,22 +121,6 @@ def _phase_index(phase) -> int:
 
 
 # -- coefficients ------------------------------------------------------------
-
-
-def _coerce_coeff(c, exact: bool):
-    if exact:
-        if isinstance(c, ExactScalar):
-            return c
-        if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
-            return ExactScalar(c)
-        raise ModeError(
-            f"exact operators need ExactScalar or rational coefficients, got {type(c).__name__}"
-        )
-    if isinstance(c, ExactScalar):
-        raise ModeError("float operators cannot take ExactScalar coefficients; use complex(c)")
-    if isinstance(c, (int, float, complex, Fraction)) and not isinstance(c, bool):
-        return complex(c)
-    raise ModeError(f"cannot use {type(c).__name__} as a float coefficient")
 
 
 def _phase_times(c, phase: int, exact: bool):
@@ -399,12 +382,12 @@ class Operator:
 
     @classmethod
     def identity(cls, exact=False) -> "Operator":
-        return cls({0: _coerce_coeff(1, exact)}, exact)
+        return cls({0: coerce(1, exact)}, exact)
 
     @classmethod
     def generator(cls, site, exact=False) -> "Operator":
         """The generator U at a half-integer site."""
-        return cls({_bit(to_double(site)): _coerce_coeff(1, exact)}, exact)
+        return cls({_bit(to_double(site)): coerce(1, exact)}, exact)
 
     @classmethod
     def from_terms(cls, terms, exact=False) -> "Operator":
@@ -417,7 +400,7 @@ class Operator:
         for coeff, sites, *rest in terms:
             phase = _phase_index(rest[0]) if rest else 0
             key, odd = _reduce_word(to_double(s) for s in sites)
-            c = _phase_times(_coerce_coeff(coeff, exact), (phase + 2 * odd) % 4, exact)
+            c = _phase_times(coerce(coeff, exact), (phase + 2 * odd) % 4, exact)
             acc[key] = acc[key] + c if key in acc else c
         return cls(acc, exact)
 
@@ -484,7 +467,7 @@ class Operator:
         return Operator({s: -c for s, c in self._terms.items()}, self.exact, self.time, self.base)
 
     def scaled(self, scalar) -> "Operator":
-        c = _coerce_coeff(scalar, self.exact)
+        c = coerce(scalar, self.exact)
         arr = self._arr
         if arr is not None:  # v * c as CPython's complex multiply forms it
             re = arr.re * c.real - arr.im * c.imag

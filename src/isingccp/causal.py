@@ -30,8 +30,8 @@ from itertools import product as iter_product
 from typing import NamedTuple
 
 from .algebra import DEFAULT_TOL, Operator, commutes
-from .errors import BudgetError, ExactnessError, PreconditionError
-from .exact import ExactScalar, is_zero
+from .errors import BudgetError, ExactnessError, ModeError, PreconditionError
+from .exact import ExactScalar, coerce, is_zero
 from .states import (
     SECTORS,
     LambdaState,
@@ -267,11 +267,12 @@ def commuting_ccs_residuals(
 
 
 def noncommuting_ccs_residuals(
-    state: LambdaState, partition: PartitionOfUnity, tol: float = DEFAULT_TOL
+    state: LambdaState, partition: PartitionOfUnity | tuple, tol: float = DEFAULT_TOL
 ) -> CcsReport:
     """Residuals of the noncommuting screening-off condition, cell by cell.
 
-    Conditioning goes through the partition's expectation E(x) = sum C_k x C_k,
+    ``partition`` is a :class:`PartitionOfUnity` or cells the caller has
+    already checked to be one.  Conditioning goes through E(x) = sum C_k x C_k,
     so the cells need not commute with the events; when they do, this
     coincides with :func:`commuting_ccs_residuals`."""
     return _ccs_report(
@@ -289,15 +290,10 @@ def _coerce_exact_weights(weights):
         seq = list(weights)
     if len(seq) != 4:
         raise PreconditionError("expected four sector weights")
-    out = []
-    for w in seq:
-        if isinstance(w, ExactScalar):
-            out.append(w)
-        elif isinstance(w, (int, Fraction)) and not isinstance(w, bool):
-            out.append(ExactScalar(w))
-        else:
-            raise PreconditionError("the exact decision needs exact weights")
-    return out
+    try:
+        return [coerce(w, True) for w in seq]
+    except ModeError as exc:
+        raise PreconditionError("the exact decision needs exact weights") from exc
 
 
 def _sector_sizes(m) -> list:

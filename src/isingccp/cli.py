@@ -287,10 +287,18 @@ def _family(cfg: dict, exact: bool, seed: int) -> tuple:
         coeffs = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).tolist()
     if not isinstance(coeffs, list) or not all(isinstance(e, list) and len(e) == 3 for e in coeffs):
         raise TypeError("family coefficients must be a list of triples")
+    return tuple(tuple(_family_entry(v, exact) for v in entry) for entry in coeffs)
+
+
+def _family_entry(value, exact: bool):
+    """A fraction or decimal string, a JSON integer, or in float mode a JSON
+    number; a bool, and a JSON float in exact mode, are rejected, not converted."""
+    if isinstance(value, bool) or (exact and isinstance(value, float)):
+        raise TypeError("a family coefficient is a fraction string or an integer "
+                        f"(or a number in float mode), not {value!r}")
     if exact:
-        return tuple(tuple(Fraction(v) for v in entry) for entry in coeffs)
-    return tuple(tuple(float(Fraction(v)) if isinstance(v, str) else float(v) for v in entry)
-                 for entry in coeffs)
+        return Fraction(value)
+    return float(Fraction(value)) if isinstance(value, str) else float(value)
 
 
 def _solver(cfg: dict, seed: int) -> SolverConfig:

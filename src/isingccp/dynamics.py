@@ -40,6 +40,8 @@ _HALF_PI = math.pi / 2
 
 
 def _parse_angle(value) -> float:
+    if isinstance(value, bool):
+        raise SchemaError(f"{value!r} is not an angle; use radians, '0' or 'pi/2'")
     if isinstance(value, str):
         token = value.replace(" ", "")
         if token == "0":

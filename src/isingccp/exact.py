@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ExactnessError
+from .errors import ExactnessError, ModeError
 
 __all__ = ["ExactScalar", "parse_exact", "PI", "EXACT_I"]
 
@@ -355,6 +355,24 @@ def is_zero(c) -> bool:
     """Whether a scalar of either mode is zero; an ExactScalar decides it
     coefficient-wise, any other number compares with 0."""
     return c.is_zero if isinstance(c, ExactScalar) else c == 0
+
+
+def coerce(c, exact: bool):
+    """``c`` as an ExactScalar (exact mode) or complex (float mode) coefficient."""
+    if exact:
+        if isinstance(c, ExactScalar):
+            return c
+        if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+            return ExactScalar(c)
+        raise ModeError(
+            f"exact operators need ExactScalar or rational coefficients, got {type(c).__name__}"
+        )
+    if isinstance(c, ExactScalar):
+        raise ModeError("float operators cannot take ExactScalar coefficients; use complex(c)")
+    if isinstance(c, (int, float, complex, Fraction)) and not isinstance(c, bool):
+        return complex(c)
+    raise ModeError(f"cannot use {type(c).__name__} as a float coefficient")
+
 
 _TERM_RE = re.compile(
     r"^(?:(?P<coef>-?\d+(?:/\d+)?)\*)?"

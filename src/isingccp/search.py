@@ -42,7 +42,7 @@ from .causal import noncommuting_ccs_residuals
 from .errors import BudgetError, PreconditionError
 from .geometry import PAST_MODES, DoubleCone, pasts
 from .halfint import from_double, to_double
-from .states import SECTORS, LambdaState, PartitionOfUnity
+from .states import SECTORS, LambdaState
 
 __all__ = ["SolverConfig", "Candidate", "solve_noncommuting_cc"]
 
@@ -218,8 +218,8 @@ class _Objective:
     def judge(self, c_mat: np.ndarray, restart: int, objective: float) -> Candidate | None:
         """The candidate for a restart's projection matrix ``c_mat``, or None
         when it fails one of the checks, in this order: it leaves the window
-        algebra, is not a projection, gives no partition of unity, has a
-        residual at or above ``tol``, or breaks the commuting constraint."""
+        algebra, is not a projection, has a residual at or above ``tol``, or
+        breaks the commuting constraint."""
         # expand the matrix in the window's monomial basis and confirm it stays
         # inside the window algebra (eigenvalue ties can push it outside)
         dim = self.dim
@@ -241,12 +241,9 @@ class _Objective:
         c_op = Operator.from_terms(kept)
         if c_op.is_zero or not is_projection(c_op, 1e-8):
             return None
-        try:
-            part = PartitionOfUnity([c_op, Operator.identity() - c_op], tol=1e-7)
-        except PreconditionError:
-            return None
+        # a projection C and 1 - C are orthogonal projections summing to 1
         fstate, cfg = self.fstate, self.cfg
-        report = noncommuting_ccs_residuals(fstate, part, tol=cfg.tol)
+        report = noncommuting_ccs_residuals(fstate, (c_op, Operator.identity() - c_op), tol=cfg.tol)
         residuals = tuple(abs(c.residual.real) for c in report.cells)
         if max(residuals) >= cfg.tol:
             return None

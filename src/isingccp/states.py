@@ -27,7 +27,6 @@ from fractions import Fraction
 from .algebra import (
     DEFAULT_TOL,
     Operator,
-    _coerce_coeff,
     commutes,
     is_projection,
     product_trace,
@@ -35,7 +34,7 @@ from .algebra import (
     support_interval,
 )
 from .errors import ModeError, PreconditionError
-from .exact import ExactScalar, zero
+from .exact import ExactScalar, coerce, zero
 from .halfint import to_double
 
 __all__ = [
@@ -211,7 +210,7 @@ def build_lambda_state(a: Operator, b: Operator, weights, tol: float = DEFAULT_T
     if missing:
         raise WeightError(f"missing sector weights: {sorted(missing)}")
     # float weights stay real
-    coerced = {k: _coerce_coeff(weights[k], True) if exact else float(weights[k]) for k in SECTORS}
+    coerced = {k: coerce(weights[k], True) if exact else float(weights[k]) for k in SECTORS}
     for label, w in coerced.items():
         positive = (w > 0) if exact else w > tol
         if not positive:

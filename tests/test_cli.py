@@ -1,7 +1,10 @@
+import ast
 import copy
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +19,7 @@ from isingccp.cli import (
     region_from_literal,
     run_scenario,
 )
+import isingccp
 from isingccp import SchemaError, SolverConfig, algebra, dynamics
 
 
@@ -202,6 +206,13 @@ def test_missing_weights_is_schema_error(tmp_path):
     {"analyses": ["enumerate-commuting"], "enumerate": {"budget": -1}},
     {"analyses": ["solve-noncommuting"], "solver": {"max_window_qubits": -1}},
     *({"plots": {name: {"n": n}}} for name in ("weight_sweep", "family_grid") for n in (0, -2)),
+    # a bool is not a number, and a JSON float is not exact
+    *({"mode": mode, "dynamics": dyn} for mode in ("float", "exact")
+      for dyn in ({"theta1": True}, {"theta2": False})),
+    *({"mode": mode, "analyses": ["family-residuals"], "family": {"coefficients": [[True, 0, 0]]}}
+      for mode in ("float", "exact")),
+    *({"analyses": ["family-residuals"], "family": {"coefficients": [triple]}}
+      for triple in ([0.6, 0.8, 0], [0.0, 1, 0])),
 ])
 def test_malformed_analysis_config_is_schema_error(tmp_path, entry):
     scenario = {
@@ -418,6 +429,29 @@ def test_only_the_search_loads_scipy(argv, loads_scipy):
     )
     proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
     assert proc.stdout.split() == ["0", str(loads_scipy)], proc.stderr
+
+
+# the modules whose ``__all__`` the package republishes, in import order
+_REPUBLISHED = ("algebra", "causal", "dynamics", "errors", "exact", "geometry", "search", "states")
+
+
+def test_the_package_republishes_each_module_all():
+    modules = [importlib.import_module(f"isingccp.{name}") for name in _REPUBLISHED]
+    expected = ["__version__", *(name for module in modules for name in module.__all__)]
+    assert isingccp.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(isingccp, name) is getattr(module, name), (module.__name__, name)
+    # no module reaches into another for a private name
+    for path in Path(isingccp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "isingccp"
+            ):
+                private = [a.name for a in node.names
+                           if a.name.startswith("_") and not a.name.startswith("__")]
+                assert not private, (path.name, node.module, private)
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
