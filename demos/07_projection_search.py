@@ -1,8 +1,8 @@
 """Searching a window algebra for screening-off projections numerically.
 
 Candidates are rank-fixed spectral projections of self-adjoint window
-elements, driven to zero residual by finite-difference least squares from
-random restarts.  On the pi-weighted state the unconstrained search finds
+elements, driven to zero residual by least squares with an analytic
+Jacobian from random restarts.  On the pi-weighted state the unconstrained search finds
 noncommuting solutions at once, while restricting to candidates commuting
 with both events finds nothing, matching the exact enumeration.
 """

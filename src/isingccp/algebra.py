@@ -32,6 +32,7 @@ must lie at or above -32 (doubled -64); lower sites raise
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -667,9 +668,16 @@ def window_monomials(sites):
 
 
 def terms_json(x: Operator) -> list:
-    """The terms of x as JSON records: exact coefficients as tokens, float ones as [real, imag]."""
-    return [{"coeff": str(c) if x.exact else [c.real, c.imag], "sites": [double_str(s) for s in sites]}
+    """The terms of x as JSON records: exact coefficients as tokens, float ones
+    as (real, imag) pairs, and the sites as one shared tuple of strings per
+    word, so that reports a caller keeps hold each word once."""
+    return [{"coeff": str(c) if x.exact else (c.real, c.imag), "sites": _sites_json(sites)}
             for sites, c in x.terms()]
+
+
+@lru_cache(maxsize=4096)
+def _sites_json(sites: tuple) -> tuple:
+    return tuple(map(double_str, sites))
 
 
 # -- dense matrix oracle ---------------------------------------------------------

@@ -204,15 +204,16 @@ def load_scenario(path_or_name: str):
         except OSError as exc:
             raise SchemaError(f"cannot read scenario {path_or_name!r}: {exc}") from exc
     try:
-        return json.loads(text, object_pairs_hook=_interned_keys)
+        return json.loads(text, object_pairs_hook=_interned)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
 
 
-def _interned_keys(pairs) -> dict:
-    # every report echoes its scenario; interned keys are stored once however
-    # many reports a caller keeps
-    return {sys.intern(key): value for key, value in pairs}
+def _interned(pairs) -> dict:
+    # every report echoes its scenario; interned keys and string values are
+    # stored once however many reports a caller keeps
+    return {sys.intern(key): sys.intern(value) if isinstance(value, str) else value
+            for key, value in pairs}
 
 
 class Scenario(NamedTuple):

@@ -7,6 +7,7 @@ value keeps every comparison and boundary test an exact integer operation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import SchemaError
 
@@ -45,8 +46,13 @@ def from_double(d: int) -> Fraction:
     return Fraction(d, 2)
 
 
+@lru_cache(maxsize=1024)
 def double_str(d: int) -> str:
-    """Render a doubled coordinate back as "2", "-1/2", "3/2"."""
+    """Render a doubled coordinate back as "2", "-1/2", "3/2".
+
+    Each value's string is made once and shared, so reports that a caller
+    keeps hold their site strings once.
+    """
     if d % 2 == 0:
         return str(d // 2)
     return f"{d}/2"

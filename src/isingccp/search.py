@@ -1,9 +1,9 @@
 """Numerical search for two-cell noncommuting screening-off partitions.
 
 The candidate cell C is parametrized as the rank-r spectral projection of a
-self-adjoint element of the window algebra, so every iterate is exactly a
-projection in that algebra; the search then drives the two screening-off
-residuals for {C, 1-C} to zero by finite-difference least squares from
+self-adjoint element h(x) = sum_j x_j B_j of the window algebra, so every
+iterate is exactly a projection in that algebra; the search then drives the
+two screening-off residuals for {C, 1-C} to zero by least squares from
 random restarts.
 
 The objective works on a dense matrix window through the identity
@@ -13,16 +13,22 @@ The objective works on a dense matrix window through the identity
 and every accepted candidate is re-verified through the symbolic operator
 route, so the matrix shortcut never certifies itself.
 
-The objective is evaluated for a stack of points at once.  scipy's
-``least_squares`` gets it at one point as ``fun`` and, as ``jac``, scipy's
-2-point rule with the n perturbed points of an iteration in one batch; each
-row equals the single-point evaluation bit for bit, so iterates, reports and
-``nfev``/``njev`` are what ``jac="2-point"`` gives.  A batch holds at most
-2**20 complex matrix entries (points x dim**2).
+scipy's ``least_squares`` gets the Jacobian in closed form, from the
+first-order perturbation of a spectral projection (Daleckii-Krein; T. Kato,
+*Perturbation Theory for Linear Operators*, ch. II sec. 2): with
+h = V diag(l) V^H,
+
+    dC/dx_j = V (K o V^H B_j V) V^H,    K_ab = 1 / (l_a - l_b)
+
+when exactly one of a, b is a kept eigenvalue, the kept one first, and
+K_ab = 0 otherwise or where that gap is exactly 0.  The Jacobian at x
+reuses the eigendecomposition that ``fun`` made there, so a trust-region
+step costs one ``eigh``.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +47,15 @@ from .algebra import (
 from .causal import noncommuting_ccs_residuals
 from .errors import BudgetError, PreconditionError
 from .geometry import PAST_MODES, DoubleCone, pasts
-from .halfint import from_double, to_double
+from .halfint import double_str, from_double, to_double
 from .states import SECTORS, LambdaState
 
 __all__ = ["SolverConfig", "Candidate", "solve_noncommuting_cc"]
 
 # weight of the commutator norms against the residuals under the commuting constraint
 _PENALTY = 3.0
-# complex matrix entries (points x dim**2) evaluated per batch: every workload
-# window fits one chunk, and a 10-qubit matrix window takes one point at a time
-_CHUNK_ENTRIES = 2 ** 20
-# scipy's relative step for the 2-point rule on float64
-_REL_STEP = np.finfo(np.float64).eps ** 0.5
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,9 @@ class SolverConfig:
 
     ``max_iters`` caps scipy's ``nfev`` at ``max_iters * n`` per restart, for
     the ``n = 2**s - 1`` basis monomials of a window of ``s`` half-integer
-    sites.  scipy's ``trf`` leaves the finite-difference calls of the
-    Jacobian out of ``nfev``, so one restart can evaluate the objective up
-    to ``max_iters * n * (n + 1)`` times.  Those ``n`` points per Jacobian
-    are evaluated as one batch, which changes neither ``nfev`` nor ``njev``.
+    sites.  The Jacobian is analytic, so one restart makes at most
+    ``max_iters * n`` objective evaluations and at most as many Jacobians,
+    each reusing the ``eigh`` of its step's objective evaluation.
     """
 
     seed: int = 0
@@ -101,7 +103,7 @@ class Candidate:
             "commuting": self.commuting,
             "trivial": self.trivial,
             "cell_trivial": list(self.cell_trivial),
-            "support": [str(self.support[0]), str(self.support[1])],
+            "support": [double_str(to_double(s)) for s in self.support],
             "localization": self.localization,
             "projection": terms_json(self.projection),
         }
@@ -115,17 +117,15 @@ def least_squares(*args, **kwargs):
 
 
 class _Objective:
-    """One search window: its matrices, its residual rows for many points at
-    once, and the check of each restart's candidate.
+    """One search window: its matrices, the residual rows at a point with
+    their Jacobian, and the check of each restart's candidate.
 
-    ``rows(xs)`` maps a ``(k, n)`` stack of coefficient vectors to their
-    ``(k, m)`` residual rows, ``m`` being 2, or 4 under the commuting
-    constraint.  Row ``i`` equals bit for bit what ``xs[i]`` gives on its
-    own: each point gets its own ``np.dot`` for its self-adjoint matrix (the
-    call ``np.tensordot(x, basis, 1)`` makes; one product over the whole
-    stack rounds differently), ``eigh``, ``@`` and ``np.trace`` run the same
-    LAPACK or BLAS routine on every slice of a stack, and each commutator
-    norm is its own ``np.linalg.norm`` call.
+    ``fun(x)`` gives the ``m`` residual rows at ``x``, ``m`` being 2, or 4
+    under the commuting constraint, and keeps the eigendecomposition of h(x)
+    for ``jac(x)``.  Each row f is a function of C alone with
+    df = Re tr(dC G) for a matrix G, so by the module docstring's formula
+    df/dx_j = Re tr(B_j V (K o V^H G V) V^H): one transform per row and one
+    product with the basis give the whole Jacobian.
     """
 
     def __init__(self, fstate: LambdaState, window: DoubleCone, cfg: SolverConfig):
@@ -164,62 +164,82 @@ class _Objective:
         self.basis_flat = np.array(basis).reshape(len(basis), dim * dim)
         self.sector_mats = [to_matrix(fstate.sectors[k].to_float(), self.mat_win) for k in SECTORS]
         self.rho = fstate.density_matrix(self.mat_win)
-        self.a_mat = to_matrix(fstate.a, self.mat_win)
-        self.b_mat = to_matrix(fstate.b, self.mat_win)
+        self.event_mats = (to_matrix(fstate.a, self.mat_win), to_matrix(fstate.b, self.mat_win))
         self.eye = np.eye(dim)
-        self._last = (None, None)  # (point bytes, rows) of the last ``fun`` call
+        # +1 where the row's eigenvalue is kept and the column's is not, -1 for
+        # the reverse, 0 otherwise: the orientation of K's gaps
+        kept = np.arange(dim) >= dim - self.rank_full
+        self.orient = kept[:, None] * 1.0 - kept[None, :]
+        self._last = (None, None)  # (point bytes, eigh of h) of the last ``fun`` call
 
-    def projectors(self, xs: np.ndarray) -> np.ndarray:
-        """The rank-``rank_full`` top spectral projection of h(x) for each point."""
+    def _h(self, x: np.ndarray) -> np.ndarray:
+        # a (1, n) by (n, dim**2) product, as np.tensordot(x, basis, 1) rounds it
         n, dim = len(self.basis_flat), self.dim
-        h = np.array([np.dot(x.reshape(1, n), self.basis_flat) for x in xs])
-        _, vecs = np.linalg.eigh(h.reshape(len(xs), dim, dim))
-        top = vecs[:, :, dim - self.rank_full:]
-        return top @ top.conj().swapaxes(1, 2)
+        return np.dot(x.reshape(1, n), self.basis_flat).reshape(dim, dim)
 
-    def rows(self, xs: np.ndarray) -> np.ndarray:
-        step = max(1, _CHUNK_ENTRIES // self.dim ** 2)
-        return np.concatenate([self._rows(xs[i:i + step]) for i in range(0, len(xs), step)])
+    def _top(self, vecs: np.ndarray) -> np.ndarray:
+        top = vecs[:, self.dim - self.rank_full:]
+        return top @ top.conj().T
 
-    def _rows(self, xs: np.ndarray) -> np.ndarray:
-        c = self.projectors(xs)
-        out = np.empty((len(xs), 4 if self.constrained else 2))
-        for j, cell in enumerate((c, self.eye - c)):
-            rho_k = cell @ self.rho @ cell
-            vals = [np.trace(s @ rho_k, axis1=1, axis2=2).real for s in self.sector_mats]
-            out[:, j] = vals[0] * vals[1] - vals[2] * vals[3]
-        if self.constrained:
-            for j, e in ((2, self.a_mat), (3, self.b_mat)):
-                norms = np.array([np.linalg.norm(d) for d in c @ e - e @ c])
-                out[:, j] = _PENALTY * (norms / self.dim)
-        return out
+    def _traces(self, cell: np.ndarray) -> list:
+        """Tr(S cell rho cell) for the four sectors S."""
+        rho_k = cell @ self.rho @ cell
+        return [np.trace(s @ rho_k).real for s in self.sector_mats]
+
+    def projector(self, x: np.ndarray) -> np.ndarray:
+        """The rank-``rank_full`` top spectral projection of h(x)."""
+        return self._top(np.linalg.eigh(self._h(x))[1])
 
     def fun(self, x: np.ndarray) -> np.ndarray:
-        """scipy's ``fun``: the rows at one point, kept for the next Jacobian."""
-        f = self.rows(x.reshape(1, -1))[0]
-        self._last = (x.tobytes(), f.copy())
-        return f
+        """scipy's ``fun``: the residual rows at ``x``."""
+        spectrum = np.linalg.eigh(self._h(x))
+        self._last = (x.tobytes(), spectrum)
+        c = self._top(spectrum[1])
+        out = []
+        for cell in (c, self.eye - c):
+            t = self._traces(cell)
+            out.append(t[0] * t[1] - t[2] * t[3])
+        if self.constrained:
+            out += [_PENALTY * (np.linalg.norm(c @ e - e @ c) / self.dim) for e in self.event_mats]
+        return np.array(out)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
-        """scipy's 2-point Jacobian at ``x``, its n perturbed points in one batch.
+        """scipy's ``jac``: the ``(m, n)`` Jacobian of ``fun`` at ``x``, from the
+        eigendecomposition of the last ``fun`` call, which scipy makes at ``x``
+        before asking for the Jacobian there."""
+        if self._last[0] != x.tobytes():
+            self.fun(x)
+        vals, vecs = self._last[1]
+        c = self._top(vecs)
+        s0, s1, s2, s3 = self.sector_mats
+        grads = []  # G per row, with d row = Re tr(dC G)
+        for sign, cell in ((2.0, c), (-2.0, self.eye - c)):
+            # d Tr(S D rho D) = 2 Re Tr(dD rho D S) for Hermitian dD = +-dC;
+            # the product rule weighs each sector by its partner's trace
+            t = self._traces(cell)
+            grads.append(sign * (self.rho @ cell @ (t[1] * s0 + t[0] * s1 - t[3] * s2 - t[2] * s3)))
+        if self.constrained:
+            for e in self.event_mats:
+                # d|D| = Re Tr(D^H dD) / |D| for D = C E - E C, and
+                # Tr(D^H (dC E - E dC)) = Tr(dC (E D^H - D^H E))
+                d = c @ e - e @ c
+                norm = np.linalg.norm(d)
+                dh = d.conj().T
+                grads.append((e @ dh - dh @ e) * (_PENALTY / (self.dim * norm)) if norm
+                             else np.zeros_like(d))
+        gap = self.orient * (vals[:, None] - vals)
+        k = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0)
+        vh = vecs.conj().T
+        z = vecs @ (k * (vh @ np.array(grads) @ vecs)) @ vh
+        # Tr(B_j Z) = sum_cd (B_j)_cd Z_dc
+        return (z.swapaxes(1, 2).reshape(len(grads), -1) @ self.basis_flat.T).real
 
-        Steps, differences and quotients follow ``scipy.optimize._numdiff``
-        operation for operation, and the base value is the last ``fun`` call,
-        which scipy always makes at ``x`` before asking for the Jacobian.
-        """
-        key, f0 = self._last
-        if key != x.tobytes():
-            f0 = self.fun(x)
-        stepped = x + _REL_STEP * ((x >= 0) * 2.0 - 1) * np.maximum(1.0, np.abs(x))
-        xs = np.tile(x, (len(x), 1))
-        np.fill_diagonal(xs, stepped)
-        return ((self.rows(xs) - f0) / (stepped - x)[:, None]).T
-
-    def judge(self, c_mat: np.ndarray, restart: int, objective: float) -> Candidate | None:
-        """The candidate for a restart's projection matrix ``c_mat``, or None
-        when it fails one of the checks, in this order: it leaves the window
-        algebra, is not a projection, has a residual at or above ``tol``, or
-        breaks the commuting constraint."""
+    def judge(self, c_mat: np.ndarray, restart: int, objective: float) -> Candidate | str:
+        """The candidate for a restart's projection matrix ``c_mat``, or the
+        reason it is rejected, checked in this order: ``"outside window"``
+        (it leaves the window algebra), ``"not a projection"``,
+        ``"residual"`` (one at or above ``tol``) or ``"noncommuting"`` (it
+        breaks the commuting constraint)."""
         # expand the matrix in the window's monomial basis and confirm it stays
         # inside the window algebra (eigenvalue ties can push it outside)
         dim = self.dim
@@ -233,23 +253,23 @@ class _Objective:
             terms.append((complex(c), word))
             recon = recon + c * mono_mat
         if np.linalg.norm(recon - c_mat) > 1e-8:
-            return None
+            return "outside window"
         # keep the terms above 1e-11, inserted in ``Operator.terms()`` order:
         # the float sums of the checks below depend on the insertion order
         kept = sorted((term for term in terms if abs(term[0]) > 1e-11),
                       key=lambda term: [to_double(s) for s in term[1]])
         c_op = Operator.from_terms(kept)
         if c_op.is_zero or not is_projection(c_op, 1e-8):
-            return None
+            return "not a projection"
         # a projection C and 1 - C are orthogonal projections summing to 1
         fstate, cfg = self.fstate, self.cfg
         report = noncommuting_ccs_residuals(fstate, (c_op, Operator.identity() - c_op), tol=cfg.tol)
         residuals = tuple(abs(c.residual.real) for c in report.cells)
         if max(residuals) >= cfg.tol:
-            return None
+            return "residual"
         comm = commutes(c_op, fstate.a, 1e-9) and commutes(c_op, fstate.b, 1e-9)
         if self.constrained and not comm:
-            return None
+            return "noncommuting"
         span = support_interval(c_op)
         if span is None:
             span = (from_double(self.sites[0]), from_double(self.sites[-1]))
@@ -278,7 +298,9 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
     flags, and the location of its support relative to the weak, common and
     strong pasts of the two events.  An empty list means no candidate
     reached the tolerance; with ``commuting_constraint`` candidates must
-    also commute with both events.
+    also commute with both events.  Each restart logs one DEBUG record on
+    this module's logger: its verdict, scipy's ``nfev``, ``njev`` and
+    ``status``, and the objective.
     """
     cfg = config or SolverConfig()
     obj = _Objective(state.to_float(), window, cfg)
@@ -296,8 +318,12 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
             gtol=1e-15,
             max_nfev=cfg.max_iters * n,
         )
-        cand = obj.judge(obj.projectors(result.x[None])[0], restart,
-                         float(np.sum(result.fun ** 2)))
-        if cand is not None:
-            candidates.append(cand)
+        objective = float(np.sum(result.fun ** 2))
+        verdict = obj.judge(obj.projector(result.x), restart, objective)
+        accepted = isinstance(verdict, Candidate)
+        if accepted:
+            candidates.append(verdict)
+        _log.debug("restart %d: %s, nfev %d, njev %d, status %d, objective %.3e", restart,
+                   "accepted" if accepted else verdict, result.nfev, result.njev,
+                   result.status, objective)
     return candidates

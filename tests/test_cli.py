@@ -490,13 +490,34 @@ def test_float_scenario_with_plots(tmp_path):
     assert (tmp_path / "family_grid.gp").exists()
 
 
-def test_reports_share_their_scenario_keys():
-    # reports echo their scenario, so a caller keeping many holds each key once
+def _shares_strings(a, b):
+    """Equal dicts whose keys and string values, nested ones included, are one object each."""
+    assert a == b and all(x is y for x, y in zip(a, b))
+    for key, value in a.items():
+        if isinstance(value, str):
+            assert value is b[key], key
+        elif isinstance(value, dict):
+            _shares_strings(value, b[key])
+
+
+def test_reports_share_their_scenario_keys(tmp_path):
+    # reports echo their scenario and list their candidates' sites, so a
+    # caller keeping many holds each key, string value and site string once
     first, second = run_scenario("uncorrelated"), run_scenario("uncorrelated")
     assert first == second
-    for a, b in ((first["scenario"], second["scenario"]),
-                 (load_scenario("common-cause-demo"), load_scenario("common-cause-demo"))):
-        assert a == b and all(x is y for x, y in zip(a, b))
+    _shares_strings(first["scenario"], second["scenario"])
+    _shares_strings(load_scenario("common-cause-demo"), load_scenario("common-cause-demo"))
+    assert load_scenario("common-cause-demo")["weights"]["ABp"] == "1/4+pi/20"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**load_scenario("common-cause-demo"),
+                                "analyses": ["correlation", "solve-noncommuting"],
+                                "solver": {"restarts": 1, "seed": 7, "max_iters": 15}}))
+    reports = [run_scenario(str(path)) for _ in range(2)]
+    _shares_strings(*(r["results"]["events"] for r in reports))
+    sites = [[term["sites"] for cand in r["results"]["solver"]["candidates"]
+              for term in cand["projection"]] for r in reports]
+    assert sites[0] == sites[1] and ("0", "1/2") in sites[0]
+    assert all(a is b for a, b in zip(*sites))
 
 
 _FLOAT_EVENTS = {

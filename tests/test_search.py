@@ -1,12 +1,10 @@
-import json
+import logging
 from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import least_squares
-from scipy.optimize._numdiff import approx_derivative
 
 from isingccp import search
 from isingccp import (
@@ -121,13 +119,13 @@ def test_judge_rejects_a_matrix_outside_the_search_window(state_float, solution)
     x = to_matrix(Operator.from_terms([(1.0, [Fraction(3, 2)])]), obj.mat_win)
     v = np.cos(e) * np.eye(obj.dim) + 1j * np.sin(e) * x
     c_mat = to_matrix(solution.projection, obj.mat_win)
-    assert obj.judge(c_mat, 0, 0.0) is not None
-    assert obj.judge(v @ c_mat @ v.conj().T, 0, 0.0) is None
+    assert isinstance(obj.judge(c_mat, 0, 0.0), search.Candidate)
+    assert obj.judge(v @ c_mat @ v.conj().T, 0, 0.0) == "outside window"
 
 
 def test_judge_rejects_a_non_projection(state_float):
     obj = search._Objective(state_float, WINDOW, SolverConfig())
-    assert obj.judge(0.5 * np.eye(obj.dim), 0, 0.0) is None
+    assert obj.judge(0.5 * np.eye(obj.dim), 0, 0.0) == "not a projection"
 
 
 def test_judge_rejects_a_noncommuting_solution_under_the_constraint(state_float, solution):
@@ -144,10 +142,30 @@ def test_judge_rejects_a_noncommuting_solution_under_the_constraint(state_float,
         state_float, PartitionOfUnity([rebuilt, Operator.identity() - rebuilt]))
     assert tuple(abs(c.residual.real) for c in report.cells) == accepted.residuals
     constrained = search._Objective(state_float, WINDOW, SolverConfig(commuting_constraint=True))
-    assert constrained.judge(c_mat, 3, 0.25) is None
+    assert constrained.judge(c_mat, 3, 0.25) == "noncommuting"
 
 
-# -- the batched objective against a per-point reference -----------------------
+@pytest.mark.parametrize("constrained", [False, True])
+def test_each_restart_logs_one_debug_record(state_float, caplog, constrained):
+    logger = logging.getLogger("isingccp.search")
+    assert not logger.handlers  # nothing is printed unless the caller configures logging
+    cfg = SolverConfig(seed=5, restarts=3, max_iters=15, commuting_constraint=constrained)
+    with caplog.at_level(logging.DEBUG, logger=logger.name):
+        found = solve_noncommuting_cc(state_float, WINDOW, cfg)
+    records = [r for r in caplog.records if r.name == logger.name]
+    assert [(r.levelno, r.args[0]) for r in records] == [(logging.DEBUG, k) for k in range(3)]
+    verdicts = [r.args[1] for r in records]
+    if constrained:
+        # the commuting projections the search reaches do not screen off
+        assert found == [] and verdicts == ["residual"] * 3
+    else:
+        assert verdicts.count("accepted") == len(found) > 0
+        assert set(verdicts) <= {"accepted", "outside window", "not a projection", "residual"}
+    for r in records:  # restart, verdict, nfev, njev, status, objective
+        assert r.args[2] >= r.args[3] >= 1 and r.args[5] >= 0
+
+
+# -- the objective against a per-point reference, and its Jacobian ------------
 
 SEARCH_WINDOWS = [WINDOW, DoubleCone.span(0, 0, 2)]  # one and two sites wide
 
@@ -159,7 +177,7 @@ def _same_bits(a, b):
 
 
 def _per_point(obj):
-    """Projector and objective one point at a time: the reference the batch equals bit for bit."""
+    """Projector and objective written out plainly: the reference ``_Objective`` equals bit for bit."""
     n, dim = obj.basis_flat.shape[0], obj.dim
     basis_mats = obj.basis_flat.reshape(n, dim, dim)
 
@@ -181,8 +199,9 @@ def _per_point(obj):
         c = projector(x)
         r1, r2 = residual_pair(c)
         if obj.constrained:
-            comm_a = np.linalg.norm(c @ obj.a_mat - obj.a_mat @ c) / dim
-            comm_b = np.linalg.norm(c @ obj.b_mat - obj.b_mat @ c) / dim
+            a_mat, b_mat = obj.event_mats
+            comm_a = np.linalg.norm(c @ a_mat - a_mat @ c) / dim
+            comm_b = np.linalg.norm(c @ b_mat - b_mat @ c) / dim
             return np.array([r1, r2, search._PENALTY * comm_a, search._PENALTY * comm_b])
         return np.array([r1, r2])
 
@@ -198,59 +217,70 @@ def _objective(state, window, constrained):
 @given(
     window=st.sampled_from(SEARCH_WINDOWS),
     constrained=st.booleans(),
-    k=st.integers(1, 5),
+    k=st.integers(1, 3),
     data=st.data(),
 )
-def test_batched_rows_equal_the_per_point_objective(state_float, window, constrained, k, data):
+def test_objective_equals_the_per_point_reference(state_float, window, constrained, k, data):
     obj = _objective(state_float, window, constrained)
-    n, dim = obj.basis_flat.shape[0], obj.dim
+    n = obj.basis_flat.shape[0]
     coords = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
-    xs = np.array(data.draw(st.lists(st.lists(coords, min_size=n, max_size=n),
-                                     min_size=k, max_size=k)))
     projector, objective = _per_point(obj)
-    want = np.array([objective(x) for x in xs])
-    for chunk in (1, 2, 3):
-        with patch.object(search, "_CHUNK_ENTRIES", chunk * dim * dim):
-            assert _same_bits(obj.rows(xs), want)
-    for x in xs:
-        assert _same_bits(obj.projectors(x[None])[0], projector(x))
+    for _ in range(k):
+        x = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
+        assert _same_bits(obj.projector(x), projector(x))
         assert _same_bits(obj.fun(x), objective(x))
+
+
+def _central_differences(fun, x, step=1e-6):
+    return np.array([(fun(x + step * e) - fun(x - step * e)) / (2 * step)
+                     for e in np.eye(len(x))]).T
 
 
 @pytest.mark.parametrize("constrained", [False, True])
 @pytest.mark.parametrize("window", SEARCH_WINDOWS)
-def test_jacobian_is_scipys_two_point_rule(state_float, window, constrained):
+def test_jacobian_matches_central_differences(state_float, window, constrained):
     obj = _objective(state_float, window, constrained)
-    _, objective = _per_point(obj)
+    n = obj.basis_flat.shape[0]
     rng = np.random.default_rng(7)
-    for x in (rng.normal(size=obj.basis_flat.shape[0]) for _ in range(3)):
-        want = approx_derivative(objective, x, method="2-point", f0=objective(x))
-        assert _same_bits(obj.jac(x), want)  # no cached base value: evaluates f(x)
+    for x in (rng.normal(size=n) for _ in range(3)):
+        want = _central_differences(obj.fun, x)
+        cold = obj.jac(x)  # the last fun call was elsewhere: jac evaluates fun(x) itself
         obj.fun(x)
-        assert _same_bits(obj.jac(x), want)  # base value from the last fun call
+        assert _same_bits(obj.jac(x), cold)  # the eigendecomposition of the last fun call
+        assert cold.shape == (4 if constrained else 2, n)
+        assert np.max(np.abs(cold - want)) <= 1e-6 * np.max(np.abs(want))
+    # at x = 0 every eigenvalue ties: every gap is 0 and the Jacobian stays finite
+    assert np.all(np.isfinite(obj.jac(np.zeros(n))))
 
 
 @pytest.mark.parametrize("constrained", [False, True])
-def test_solve_matches_scipys_own_two_point_jacobian(state_float, constrained):
+def test_solve_runs_one_eigh_per_objective_evaluation(state_float, constrained):
     cfg = SolverConfig(seed=5, restarts=2, tol=1e-8, max_iters=15,
                        commuting_constraint=constrained)
+    eighs, counts, jac_eighs = [], [], []
+    eigh, least_squares, jac = np.linalg.eigh, search.least_squares, search._Objective.jac
 
-    def solve(jac):
-        counts = []
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
 
-        def wrapped(*args, **kwargs):
-            if jac is not None:
-                kwargs["jac"] = jac
-            out = least_squares(*args, **kwargs)
-            counts.append((out.nfev, out.njev))
-            return out
+    def counted_least_squares(*args, **kwargs):
+        out = least_squares(*args, **kwargs)
+        counts.append((out.nfev, out.njev))
+        return out
 
-        with patch.object(search, "least_squares", wrapped):
-            found = solve_noncommuting_cc(state_float, WINDOW, cfg)
-        return json.dumps([c.to_dict() for c in found], sort_keys=True), counts
+    def counted_jac(self, x):
+        before = len(eighs)
+        out = jac(self, x)
+        jac_eighs.append(len(eighs) - before)
+        return out
 
-    batched, batched_counts = solve(None)
-    scipys, scipys_counts = solve("2-point")
-    assert batched == scipys
-    assert batched_counts == scipys_counts
-    assert len(batched_counts) == 2
+    with patch.object(np.linalg, "eigh", counted_eigh), \
+            patch.object(search, "least_squares", counted_least_squares), \
+            patch.object(search._Objective, "jac", counted_jac):
+        solve_noncommuting_cc(state_float, WINDOW, cfg)
+    assert len(counts) == 2
+    # one per objective evaluation, plus each restart's final projector
+    assert len(eighs) == sum(nfev for nfev, _ in counts) + 2
+    assert len(jac_eighs) == sum(njev for _, njev in counts) > 0
+    assert not any(jac_eighs)
