@@ -137,14 +137,6 @@ def _phase_times(c, phase: int, exact: bool):
 _EXACT_PHASES = {1: ExactScalar(0, 1), 2: ExactScalar(-1), 3: ExactScalar(0, -1)}
 
 
-def _hull(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return (min(a[0], b[0]), max(a[1], b[1]))
-
-
 # -- float terms as arrays ----------------------------------------------------------
 
 # Monomial pairs per block of the product kernel, which bounds its temporary arrays.
@@ -305,7 +297,7 @@ def _float_product_trace(a: _Arrays, b: _Arrays, order: np.ndarray) -> complex:
     return complex(*(np.add.accumulate(np.concatenate(([0.0], p)))[-1] for p in (pr, pi)))
 
 
-def _operator(terms, arrays, exact, time, base) -> "Operator":
+def _operator(terms, arrays, exact, time=0, base=None) -> "Operator":
     """An operator over terms already free of zero coefficients."""
     op = Operator.__new__(Operator)
     op._dict, op._arr, op.exact, op.time, op.base = terms, arrays, exact, time, base
@@ -316,12 +308,16 @@ def _operator(terms, arrays, exact, time, base) -> "Operator":
 class Operator:
     """A finite combination of canonical monomials with mode-tagged scalars.
 
-    Operators are immutable values.  ``time`` is an optional localization
-    label: 0 marks a Cauchy-surface operator, a positive integer marks the
-    image of a surface operator under that many causal time steps (``base``
-    then records the doubled site interval of the surface preimage), and
-    None means no localization claim is carried.  Terms are keyed by the
-    private monomial bitmask; build operators with the constructors below.
+    Operators are immutable values.  ``time`` is a localization label: a
+    positive integer marks the image of a surface operator under that many
+    causal time steps, and ``base`` then records the doubled site interval
+    of the surface preimage.  Only evolution sets it (``apply_beta``,
+    ``beta_generator_image`` and ``alpha_shift``, through
+    :meth:`with_labels`), and :meth:`to_float` keeps it.  Every other
+    operator, each result of the arithmetic below included, has time label
+    0 and no base, and :func:`localization` places it by its support.
+    Terms are keyed by the private monomial bitmask; build operators with
+    the constructors below.
 
     Float operators compute on their terms as arrays (:class:`_Arrays`) and
     build the term dict only when something reads it.  Exact operators, float
@@ -412,10 +408,6 @@ class Operator:
         tuples of doubled sites."""
         return iter(sorted((_sites(key), c) for key, c in self._terms.items()))
 
-    def coefficient(self, sites):
-        key, _ = _reduce_word(sorted(to_double(s) for s in sites))
-        return self._terms.get(key, zero(self.exact))
-
     @property
     def is_zero(self) -> bool:
         return not len(self)
@@ -429,31 +421,19 @@ class Operator:
                 "cannot combine exact and float operators; coerce with to_float()"
             )
 
-    def _labels_with(self, other: "Operator"):
-        if self.is_zero:
-            return other.time, other.base
-        if other.is_zero:
-            return self.time, self.base
-        if self.time == other.time:
-            if self.time in (0, None):
-                return self.time, None
-            return self.time, _hull(self.base, other.base)
-        return None, None
-
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
         self._check_mode(other)
-        time, base = self._labels_with(other)
         pair = _aligned(self, other) if len(self) + len(other) >= _ARRAY_WORK else None
         if pair is not None:
-            return _operator(None, _float_sum(*pair), False, time, base)
+            return _operator(None, _float_sum(*pair), False)
         acc = dict(self._terms)
         for s, c in other._terms.items():
             acc[s] = acc.get(s, zero(self.exact)) + c
-        return Operator(acc, self.exact, time, base)
+        return Operator(acc, self.exact)
 
     def __sub__(self, other):
         if not isinstance(other, Operator):
@@ -463,9 +443,8 @@ class Operator:
     def __neg__(self):
         arr = self._arr
         if arr is not None:
-            return _operator(None, arr._replace(re=-arr.re, im=-arr.im),
-                             False, self.time, self.base)
-        return Operator({s: -c for s, c in self._terms.items()}, self.exact, self.time, self.base)
+            return _operator(None, arr._replace(re=-arr.re, im=-arr.im), False)
+        return Operator({s: -c for s, c in self._terms.items()}, self.exact)
 
     def scaled(self, scalar) -> "Operator":
         c = coerce(scalar, self.exact)
@@ -473,9 +452,8 @@ class Operator:
         if arr is not None:  # v * c as CPython's complex multiply forms it
             re = arr.re * c.real - arr.im * c.imag
             im = arr.re * c.imag + arr.im * c.real
-            return _operator(None, _nonzero(arr.keys, re, im, arr.low, arr.width),
-                             False, self.time, self.base)
-        return Operator({s: v * c for s, v in self._terms.items()}, self.exact, self.time, self.base)
+            return _operator(None, _nonzero(arr.keys, re, im, arr.low, arr.width), False)
+        return Operator({s: v * c for s, v in self._terms.items()}, self.exact)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, Operator):
@@ -498,7 +476,7 @@ class Operator:
         self._check_mode(other)
         pair = _aligned(self, other) if len(self) * len(other) >= _ARRAY_WORK else None
         if pair is not None:
-            return _operator(None, _float_product(*pair), False, *self._labels_with(other))
+            return _operator(None, _float_product(*pair), False)
         acc: dict = {}
         nil = zero(self.exact)
         for s1, c1 in self._terms.items():
@@ -508,23 +486,21 @@ class Operator:
                     c = -c
                 key = s1 ^ s2
                 acc[key] = acc.get(key, nil) + c
-        time, base = self._labels_with(other)
-        return Operator(acc, self.exact, time, base)
+        return Operator(acc, self.exact)
 
     def adjoint(self) -> "Operator":
         arr = self._arr
         if arr is not None:  # -conj(c) is (-re, im)
             odd = _odd_arrays(arr.keys, arr.keys)
             return _operator(None, arr._replace(re=np.where(odd, -arr.re, arr.re),
-                                                im=np.where(odd, arr.im, -arr.im)),
-                             False, self.time, self.base)
+                                                im=np.where(odd, arr.im, -arr.im)), False)
         acc = {}
         for s, c in self._terms.items():
             cc = c.conjugate()
             if _odd(s, s):
                 cc = -cc
             acc[s] = cc
-        return Operator(acc, self.exact, self.time, self.base)
+        return Operator(acc, self.exact)
 
     # -- functionals -----------------------------------------------------------
 
@@ -642,11 +618,12 @@ def support_interval(x: Operator):
 def localization(x: Operator) -> DoubleCone:
     """The double cone in which x is localized.
 
-    Surface operators (time label 0) live over their site hull at translate
-    0.  Evolved operators carry the surface interval of their preimage and
-    live over it at their time label.  Operators without a label fall back
-    to the site hull of their expansion, which is always a valid (if not
-    tight) localization at translate 0.
+    An evolved operator (from ``apply_beta``, ``beta_generator_image`` or
+    ``alpha_shift``) lives over the surface interval of its preimage at its
+    time label.  Every other operator, arithmetic on evolved ones included,
+    lives over the site hull of its expansion at translate 0: valid by
+    isotony, if not tight (the product of the events at ``O^m(1,0)`` and
+    ``O^m(1,1)`` gives ``O[t=0](-1/2,3/2)``, not ``O[t=1](0,1)``).
     """
     if x.time not in (0, None) and x.base is not None:
         return DoubleCone(x.time, x.base[0], x.base[1])

@@ -578,12 +578,15 @@ def _run(scenario: Scenario, out_path, timings: bool) -> dict:
     out_path = out_path or scenario.report
     if out_path:
         report_dir = os.path.dirname(os.path.abspath(out_path))
-        os.makedirs(report_dir, exist_ok=True)
-        if scenario.plots:
-            report["plots"] = _write_plots(state, scenario.plots, report_dir)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        try:
+            os.makedirs(report_dir, exist_ok=True)
+            if scenario.plots:
+                report["plots"] = _write_plots(state, scenario.plots, report_dir)
+            with open(out_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
+                fh.write("\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write the report {out_path!r} or its plots: {exc}") from exc
     return report
 
 

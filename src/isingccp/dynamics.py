@@ -134,7 +134,9 @@ def apply_beta(params: DynamicsParams, x: Operator, t: int) -> Operator:
     The map is the homomorphic extension of the generator images: each
     monomial goes to the ordered product of its generators' images, with
     coefficients untouched.  The result carries time label t and remembers
-    the surface support of x.
+    the surface support of x.  x needs time label 0, which every operator
+    has except the images evolution labels, so an arithmetic result, even
+    of evolved operators, is evolved over its support.
     """
     if t < 0:
         raise PreconditionError(

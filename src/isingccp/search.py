@@ -152,15 +152,10 @@ class _Objective:
         self.constrained = cfg.commuting_constraint
 
         # the Hermitian basis of the window algebra (identity excluded): a
-        # monomial, or i times it when its adjoint is minus itself.  ``judge``
-        # expands candidates in the monomials' own matrices; -1j times the
-        # matrix of i U could differ from that of U in the sign of a zero
-        basis, self.monomials = [], []
-        for word, sign in window_monomials(sites):
-            h = to_matrix(Operator.from_terms([(1.0 if sign > 0 else 1j, word)]), self.mat_win)
-            mono = h if sign > 0 else to_matrix(Operator.from_terms([(1.0, word)]), self.mat_win)
-            basis.append(h)
-            self.monomials.append((word, sign, mono))
+        # monomial, or i times it when its adjoint is minus itself
+        self.words = [(word, "+1" if sign > 0 else "+i") for word, sign in window_monomials(sites)]
+        basis = [to_matrix(Operator.from_terms([(1.0, word, phase)]), self.mat_win)
+                 for word, phase in self.words]
         self.basis_flat = np.array(basis).reshape(len(basis), dim * dim)
         self.sector_mats = [to_matrix(fstate.sectors[k].to_float(), self.mat_win) for k in SECTORS]
         self.rho = fstate.density_matrix(self.mat_win)
@@ -240,20 +235,15 @@ class _Objective:
         (it leaves the window algebra), ``"not a projection"``,
         ``"residual"`` (one at or above ``tol``) or ``"noncommuting"`` (it
         breaks the commuting constraint)."""
-        # expand the matrix in the window's monomial basis and confirm it stays
-        # inside the window algebra (eigenvalue ties can push it outside)
+        # expand the matrix in the window's Hermitian basis, which is
+        # HS-orthonormal, and confirm it stays inside the window algebra
+        # (eigenvalue ties can push it outside)
         dim = self.dim
         unit = np.trace(c_mat).real / dim
-        terms = [(unit, ())]
-        recon = unit * np.eye(dim, dtype=complex)
-        for word, sign, mono_mat in self.monomials:
-            # monomial matrices are HS-orthonormal; the adjoint of one is its
-            # reversal sign times itself
-            c = sign * np.trace(mono_mat @ c_mat) / dim
-            terms.append((complex(c), word))
-            recon = recon + c * mono_mat
-        if np.linalg.norm(recon - c_mat) > 1e-8:
+        x = (self.basis_flat.conj() @ c_mat.ravel()).real / dim
+        if np.linalg.norm(unit * self.eye + self._h(x) - c_mat) > 1e-8:
             return "outside window"
+        terms = [(unit, ())] + [(xj, word, phase) for xj, (word, phase) in zip(x, self.words)]
         # keep the terms above 1e-11, inserted in ``Operator.terms()`` order:
         # the float sums of the checks below depend on the insertion order
         kept = sorted((term for term in terms if abs(term[0]) > 1e-11),

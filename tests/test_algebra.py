@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from isingccp import algebra
 from isingccp import (
+    DoubleCone,
     DynamicsParams,
     EXACT_I,
     ExactScalar,
@@ -253,6 +254,26 @@ def test_localization_labels(std_params, events_float):
     assert (localization(b).t, localization(b).i2, localization(b).j2) == (1, 2, 2)
     surf = half_sum(HALF)
     assert localization(surf).t == 0
+
+
+@pytest.mark.parametrize("work", [10 ** 9, 1], ids=["dicts", "arrays"])
+def test_arithmetic_localizes_by_support(std_params, events_float, work):
+    a, b = events_float
+    if work == 1:
+        a, b = (algebra._operator(None, x._arrays(), False, x.time, x.base) for x in (a, b))
+    one = Operator.identity()
+    with patch.object(algebra, "_ARRAY_WORK", work):
+        # the events keep the cones evolution gave them
+        assert localization(a) == DoubleCone.minimal(1, 0)
+        assert localization(b) == DoubleCone.minimal(1, 1)
+        # arithmetic carries no label: the product lives over its support
+        # hull at t = 0, a looser cone than O[t=1](0,1) and valid by isotony
+        assert localization(a * b) == DoubleCone(0, -1, 3)
+        for x in (-a, a.scaled(2), a.adjoint()):
+            assert localization(x) == DoubleCone(0, -1, 1)
+        # so apply_beta takes arithmetic results and evolves them over their support
+        assert localization(apply_beta(std_params, a * b, 1)) == DoubleCone(1, -1, 3)
+        assert localization(apply_beta(std_params, one - a, 1)) == DoubleCone(1, -1, 1)
 
 
 def test_trace_cyclicity_exact_mode():

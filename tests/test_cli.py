@@ -490,6 +490,24 @@ def test_float_scenario_with_plots(tmp_path):
     assert (tmp_path / "family_grid.gp").exists()
 
 
+@pytest.mark.parametrize("case", ["a directory", "below a file", "plot in no directory"])
+def test_an_unwritable_report_or_plot_is_schema_error(tmp_path, capsys, case):
+    argv = ["run", "uncorrelated", "--out"]
+    if case == "a directory":
+        argv.append(str(tmp_path))
+    elif case == "below a file":
+        (tmp_path / "file").write_text("")
+        argv.append(str(tmp_path / "file" / "x.json"))
+    else:
+        scenario = load_scenario("uncorrelated")
+        scenario["plots"] = {"weight_sweep": {"n": 2, "path": "nodir/x.csv"}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["run", str(path), "--out", str(tmp_path / "report.json")]
+    assert run_cli(*argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def _shares_strings(a, b):
     """Equal dicts whose keys and string values, nested ones included, are one object each."""
     assert a == b and all(x is y for x, y in zip(a, b))

@@ -29,6 +29,7 @@ def test_finds_screening_projections(state_float):
     for cand in found:
         assert max(cand.residuals) < 1e-8
         assert not cand.commuting  # only noncommuting solutions exist here
+        assert cand.projection.adjoint() == cand.projection
         assert cand.localization["common"] and cand.localization["weak"]
         # re-verify through the symbolic route
         part = PartitionOfUnity([cand.projection, Operator.identity() - cand.projection])
