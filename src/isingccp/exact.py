@@ -171,6 +171,15 @@ class ExactScalar:
         object.__setattr__(self, "re", _trim(re))
         object.__setattr__(self, "im", _trim(im))
 
+    @classmethod
+    def _of(cls, re: tuple, im: tuple) -> "ExactScalar":
+        """A scalar from coefficient tuples that this module's helpers already
+        trimmed, without the constructor's check and re-wrap."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "re", re)
+        object.__setattr__(out, "im", im)
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
 
@@ -196,12 +205,12 @@ class ExactScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ExactScalar(_add(self.re, other.re), _add(self.im, other.im))
+        return ExactScalar._of(_add(self.re, other.re), _add(self.im, other.im))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(_neg(self.re), _neg(self.im))
+        return ExactScalar._of(_neg(self.re), _neg(self.im))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -221,7 +230,7 @@ class ExactScalar:
             return NotImplemented
         re = _add(_conv(self.re, other.re), _neg(_conv(self.im, other.im)))
         im = _add(_conv(self.re, other.im), _conv(self.im, other.re))
-        return ExactScalar(re, im)
+        return ExactScalar._of(re, im)
 
     __rmul__ = __mul__
 
@@ -245,7 +254,7 @@ class ExactScalar:
         return other / self
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, _neg(self.im))
+        return ExactScalar._of(self.re, _neg(self.im))
 
     # -- predicates and conversions ----------------------------------------
 

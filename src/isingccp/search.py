@@ -13,23 +13,26 @@ The objective works on a dense matrix window through the identity
 and every accepted candidate is re-verified through the symbolic operator
 route, so the matrix shortcut never certifies itself.
 
-scipy's ``least_squares`` gets the Jacobian in closed form, from the
-first-order perturbation of a spectral projection (Daleckii-Krein; T. Kato,
-*Perturbation Theory for Linear Operators*, ch. II sec. 2): with
-h = V diag(l) V^H,
+The residual rows are driven to zero by :func:`least_squares`, a
+Levenberg-Marquardt loop with Nielsen's damping.  It gets the Jacobian in
+closed form, from the first-order perturbation of a spectral projection
+(Daleckii-Krein; T. Kato, *Perturbation Theory for Linear Operators*, ch. II
+sec. 2): with h = V diag(l) V^H,
 
     dC/dx_j = V (K o V^H B_j V) V^H,    K_ab = 1 / (l_a - l_b)
 
 when exactly one of a, b is a kept eigenvalue, the kept one first, and
-K_ab = 0 otherwise or where that gap is exactly 0.  The Jacobian at x
-reuses the eigendecomposition that ``fun`` made there, so a trust-region
-step costs one ``eigh``.
+K_ab = 0 otherwise or where that gap is exactly 0.  The Jacobian at an
+accepted point reuses the eigendecomposition that the objective made there,
+so a step costs one ``eigh``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .algebra import (
     to_matrix,
     window_monomials,
 )
-from .causal import noncommuting_ccs_residuals
+from .causal import DEFAULT_BUDGET, noncommuting_ccs_residuals
 from .errors import BudgetError, PreconditionError
 from .geometry import PAST_MODES, DoubleCone, pasts
 from .halfint import double_str, from_double, to_double
@@ -54,6 +57,9 @@ __all__ = ["SolverConfig", "Candidate", "solve_noncommuting_cc"]
 
 # weight of the commutator norms against the residuals under the commuting constraint
 _PENALTY = 3.0
+# least_squares stops on a gradient entry, a relative step or a relative cost
+# drop below this
+_TOL = 1e-15
 
 _log = logging.getLogger(__name__)
 
@@ -67,11 +73,13 @@ class SolverConfig:
     ``commuting_constraint`` the commutators with both events join the
     residual vector and candidates that fail to commute are rejected.
 
-    ``max_iters`` caps scipy's ``nfev`` at ``max_iters * n`` per restart, for
-    the ``n = 2**s - 1`` basis monomials of a window of ``s`` half-integer
-    sites.  The Jacobian is analytic, so one restart makes at most
-    ``max_iters * n`` objective evaluations and at most as many Jacobians,
-    each reusing the ``eigh`` of its step's objective evaluation.
+    ``max_iters`` caps the solver's ``nfev`` at ``max_iters * n`` per
+    restart, for the ``n = 2**s - 1`` basis monomials of a window of ``s``
+    half-integer sites.  One restart makes at most ``max_iters * n``
+    objective evaluations and at most as many Jacobians, each reusing the
+    ``eigh`` of its point's objective evaluation.  A search whose bound
+    ``restarts * max_iters * n`` exceeds ``causal.DEFAULT_BUDGET`` is
+    refused with :class:`~isingccp.errors.BudgetError` before any restart.
     """
 
     seed: int = 0
@@ -109,23 +117,99 @@ class Candidate:
         }
 
 
-def least_squares(*args, **kwargs):
-    """scipy's ``least_squares``, imported on first use: only the search loads scipy."""
-    from scipy.optimize import least_squares as scipy_least_squares
+class LeastSquaresResult(NamedTuple):
+    """The last accepted point, its residual rows, the numbers of ``fun``
+    and ``jac`` calls, and the status :func:`least_squares` stopped with."""
 
-    return scipy_least_squares(*args, **kwargs)
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    njev: int
+    status: int
+
+
+def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult:
+    """Minimise ``|f(x)|**2`` for ``m`` residual rows in ``n >= m`` unknowns
+    by Levenberg-Marquardt (K. Madsen, H. B. Nielsen, O. Tingleff, *Methods
+    for Non-Linear Least Squares Problems*, 2004, sec. 3.2; J. J. Moré, 1978).
+
+    ``fun(x)`` returns the rows ``f`` at ``x`` and whatever ``jac`` needs
+    there; ``jac(x, aux)`` gives the ``(m, n)`` Jacobian ``J`` and is asked
+    only at the start and at accepted points, with what ``fun`` returned
+    there.  A step solves one ``m x m`` system: ``y = (J J^T + lam I)^-1 f``
+    and ``step = -J^T y``.  ``lam`` starts at ``1e-3 max diag(J J^T)``; an
+    accepted step, with gain ratio ``rho``, scales it by
+    ``max(1/3, 1 - (2 rho - 1)**3)`` and resets ``nu`` to 2, and a rejected
+    one scales it by ``nu`` and doubles ``nu``.
+
+    ``status`` says why the loop stopped:
+
+    - 0: ``max_nfev`` calls of ``fun`` were made;
+    - 1: the gradient ``J^T f`` has no entry above ``1e-15`` in size;
+    - 2: an accepted step lowered the cost by less than ``1e-15`` of it;
+    - 3: a step was shorter than ``1e-15 (1e-15 + |x|)``;
+    - 4: the cost is exactly 0;
+    - 5: the damping ``lam`` left ``(0, inf)``.
+    """
+    x = x0
+    f, aux = fun(x)
+    jmat = jac(x, aux)
+    nfev = njev = 1
+    lam, nu = None, 2.0
+
+    def result(status):
+        return LeastSquaresResult(x, f, nfev, njev, status)
+
+    while True:
+        cost = f @ f
+        if cost == 0:
+            return result(4)
+        if np.max(np.abs(jmat.T @ f)) <= _TOL:
+            return result(1)
+        a = jmat @ jmat.T
+        if lam is None:
+            lam = 1e-3 * float(np.max(np.diag(a)))
+        while True:  # damp harder until a step lowers the cost
+            if nfev >= max_nfev:
+                return result(0)
+            if not 0 < lam < math.inf:
+                return result(5)
+            y = np.linalg.solve(a + lam * np.eye(len(f)), f)
+            step = -(jmat.T @ y)
+            if np.linalg.norm(step) <= _TOL * (_TOL + np.linalg.norm(x)):
+                return result(3)
+            x_new = x + step
+            f_new, aux_new = fun(x_new)
+            nfev += 1
+            drop = cost - f_new @ f_new
+            if drop > 0:
+                break
+            lam *= nu
+            nu *= 2
+        # the gain ratio against the linear model's drop |f|^2 - |f - J J^T y|^2;
+        # a ratio of 1 or more (or a model drop lost to rounding) gives 1/3
+        r = f - a @ y
+        predicted = cost - r @ r
+        rho = float(drop / predicted) if predicted > drop else 1.0
+        lam *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+        nu = 2.0
+        x, f = x_new, f_new
+        jmat = jac(x, aux_new)
+        njev += 1
+        if drop < _TOL * cost:
+            return result(2)
 
 
 class _Objective:
     """One search window: its matrices, the residual rows at a point with
     their Jacobian, and the check of each restart's candidate.
 
-    ``fun(x)`` gives the ``m`` residual rows at ``x``, ``m`` being 2, or 4
-    under the commuting constraint, and keeps the eigendecomposition of h(x)
-    for ``jac(x)``.  Each row f is a function of C alone with
-    df = Re tr(dC G) for a matrix G, so by the module docstring's formula
-    df/dx_j = Re tr(B_j V (K o V^H G V) V^H): one transform per row and one
-    product with the basis give the whole Jacobian.
+    ``evaluate(x)`` gives the ``m`` residual rows at ``x``, ``m`` being 2, or
+    4 under the commuting constraint, with the eigendecomposition of h(x)
+    they came from, which ``jac`` takes.  Each row f is a function of C
+    alone with df = Re tr(dC G) for a matrix G, so by the module docstring's
+    formula df/dx_j = Re tr(B_j V (K o V^H G V) V^H): one transform per row
+    and one product with the basis give the whole Jacobian.
     """
 
     def __init__(self, fstate: LambdaState, window: DoubleCone, cfg: SolverConfig):
@@ -143,6 +227,15 @@ class _Objective:
             raise BudgetError(
                 f"matrix window needs {n_full} qubits, over the budget of {cfg.max_window_qubits}"
             )
+        # the Hermitian basis of the window algebra (identity excluded): a
+        # monomial, or i times it when its adjoint is minus itself
+        self.words = [(word, "+1" if sign > 0 else "+i") for word, sign in window_monomials(sites)]
+        evaluations = cfg.restarts * cfg.max_iters * len(self.words)
+        if evaluations > DEFAULT_BUDGET:
+            raise BudgetError(
+                f"the search may make {evaluations} objective evaluations ({cfg.restarts} restarts"
+                f" x {cfg.max_iters} x {len(self.words)}), over the budget of {DEFAULT_BUDGET}"
+            )
         self.dim = dim = 2 ** n_full
         win_dim = 2 ** len(qubit_range((sites[0], sites[-1])))
         rank = cfg.rank if cfg.rank is not None else win_dim // 2
@@ -151,9 +244,6 @@ class _Objective:
         self.rank_full = rank * (dim // win_dim)
         self.constrained = cfg.commuting_constraint
 
-        # the Hermitian basis of the window algebra (identity excluded): a
-        # monomial, or i times it when its adjoint is minus itself
-        self.words = [(word, "+1" if sign > 0 else "+i") for word, sign in window_monomials(sites)]
         basis = [to_matrix(Operator.from_terms([(1.0, word, phase)]), self.mat_win)
                  for word, phase in self.words]
         self.basis_flat = np.array(basis).reshape(len(basis), dim * dim)
@@ -165,7 +255,6 @@ class _Objective:
         # the reverse, 0 otherwise: the orientation of K's gaps
         kept = np.arange(dim) >= dim - self.rank_full
         self.orient = kept[:, None] * 1.0 - kept[None, :]
-        self._last = (None, None)  # (point bytes, eigh of h) of the last ``fun`` call
 
     def _h(self, x: np.ndarray) -> np.ndarray:
         # a (1, n) by (n, dim**2) product, as np.tensordot(x, basis, 1) rounds it
@@ -185,10 +274,9 @@ class _Objective:
         """The rank-``rank_full`` top spectral projection of h(x)."""
         return self._top(np.linalg.eigh(self._h(x))[1])
 
-    def fun(self, x: np.ndarray) -> np.ndarray:
-        """scipy's ``fun``: the residual rows at ``x``."""
+    def evaluate(self, x: np.ndarray) -> tuple:
+        """The residual rows at ``x`` and the eigendecomposition of h(x)."""
         spectrum = np.linalg.eigh(self._h(x))
-        self._last = (x.tobytes(), spectrum)
         c = self._top(spectrum[1])
         out = []
         for cell in (c, self.eye - c):
@@ -196,15 +284,17 @@ class _Objective:
             out.append(t[0] * t[1] - t[2] * t[3])
         if self.constrained:
             out += [_PENALTY * (np.linalg.norm(c @ e - e @ c) / self.dim) for e in self.event_mats]
-        return np.array(out)
+        return np.array(out), spectrum
 
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        """scipy's ``jac``: the ``(m, n)`` Jacobian of ``fun`` at ``x``, from the
-        eigendecomposition of the last ``fun`` call, which scipy makes at ``x``
-        before asking for the Jacobian there."""
-        if self._last[0] != x.tobytes():
-            self.fun(x)
-        vals, vecs = self._last[1]
+    def fun(self, x: np.ndarray) -> np.ndarray:
+        """The residual rows at ``x``."""
+        return self.evaluate(x)[0]
+
+    def jac(self, x: np.ndarray, spectrum: tuple | None = None) -> np.ndarray:
+        """The ``(m, n)`` Jacobian of the rows at ``x``, from ``spectrum``, the
+        eigendecomposition of h(x) that ``evaluate(x)`` returned, or from a
+        new one when it is not given."""
+        vals, vecs = spectrum if spectrum is not None else np.linalg.eigh(self._h(x))
         c = self._top(vecs)
         s0, s1, s2, s3 = self.sector_mats
         grads = []  # G per row, with d row = Re tr(dC G)
@@ -289,8 +379,8 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
     strong pasts of the two events.  An empty list means no candidate
     reached the tolerance; with ``commuting_constraint`` candidates must
     also commute with both events.  Each restart logs one DEBUG record on
-    this module's logger: its verdict, scipy's ``nfev``, ``njev`` and
-    ``status``, and the objective.
+    this module's logger: its verdict, the solver's ``nfev``, ``njev`` and
+    ``status`` (see :func:`least_squares`), and the objective.
     """
     cfg = config or SolverConfig()
     obj = _Objective(state.to_float(), window, cfg)
@@ -298,16 +388,7 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
     candidates = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        result = least_squares(
-            obj.fun,
-            rng.normal(size=n),
-            method="trf",
-            jac=obj.jac,
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=cfg.max_iters * n,
-        )
+        result = least_squares(obj.evaluate, rng.normal(size=n), obj.jac, cfg.max_iters * n)
         objective = float(np.sum(result.fun ** 2))
         verdict = obj.judge(obj.projector(result.x), restart, objective)
         accepted = isinstance(verdict, Candidate)

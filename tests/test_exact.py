@@ -183,6 +183,15 @@ def test_arithmetic_keeps_trimmed_fraction_tuples(x, y, g, n):
         _assert_normalised(r)
 
 
+@given(pi_gaussians, pi_gaussians)
+def test_of_equals_the_constructor_on_helper_tuples(x, y):
+    # + - * and conjugate() build their results with _of, skipping the trim
+    for r in (x + y, -x, x * y, x.conjugate()):
+        again = ExactScalar(r.re, r.im)
+        of = ExactScalar._of(r.re, r.im)
+        assert of == again and hash(of) == hash(again) and str(of) == str(again)
+
+
 def test_ordering_of_real_values():
     assert parse_exact("1/4") < parse_exact("1/4+pi/20")
     assert parse_exact("1/4-pi/20") > 0

@@ -1,4 +1,5 @@
 import logging
+import warnings
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -267,12 +268,13 @@ def test_solve_runs_one_eigh_per_objective_evaluation(state_float, constrained):
 
     def counted_least_squares(*args, **kwargs):
         out = least_squares(*args, **kwargs)
-        counts.append((out.nfev, out.njev))
+        _, _, nfev, njev, _ = out
+        counts.append((nfev, njev))
         return out
 
-    def counted_jac(self, x):
+    def counted_jac(self, x, spectrum=None):
         before = len(eighs)
-        out = jac(self, x)
+        out = jac(self, x, spectrum)
         jac_eighs.append(len(eighs) - before)
         return out
 
@@ -285,3 +287,65 @@ def test_solve_runs_one_eigh_per_objective_evaluation(state_float, constrained):
     assert len(eighs) == sum(nfev for nfev, _ in counts) + 2
     assert len(jac_eighs) == sum(njev for _, njev in counts) > 0
     assert not any(jac_eighs)
+
+
+# -- the Levenberg-Marquardt loop ----------------------------------------------
+
+
+def _solver_runs(state, window, cfg):
+    """Each restart's solver result, and the accepted candidates."""
+    runs, least_squares = [], search.least_squares
+
+    def recorded(*args, **kwargs):
+        runs.append(least_squares(*args, **kwargs))
+        return runs[-1]
+
+    with patch.object(search, "least_squares", recorded):
+        found = solve_noncommuting_cc(state, window, cfg)
+    return runs, found
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("window", SEARCH_WINDOWS)
+def test_solver_stays_within_max_iters_times_n(state_float, window, constrained):
+    cfg = SolverConfig(seed=5, restarts=3, max_iters=1, commuting_constraint=constrained)
+    runs, _ = _solver_runs(state_float, window, cfg)
+    cap = cfg.max_iters * (2 ** len(window.sites()) - 1)
+    assert len(runs) == 3
+    for _, _, nfev, njev, status in runs:
+        assert 1 <= njev <= nfev <= cap
+        assert status != 0 or nfev == cap  # status 0: stopped at the cap, not past it
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_solver_start_where_every_eigenvalue_ties_ends_finite(state_float, constrained):
+    obj = _objective(state_float, WINDOW, constrained)
+    n = obj.basis_flat.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, f, nfev, njev, status = search.least_squares(obj.evaluate, np.zeros(n), obj.jac, 400 * n)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(f))
+    # the start is final: its cost is 0 (status 4), or every gap is 0, so the
+    # Jacobian and the gradient vanish (status 1)
+    assert (nfev, njev) == (1, 1) and status in (1, 4)
+
+
+def test_accepted_restarts_end_with_rows_below_tol(state_float):
+    cfg = SolverConfig(seed=5, restarts=4, tol=1e-8)
+    runs, found = _solver_runs(state_float, WINDOW, cfg)
+    assert found
+    for cand in found:
+        _, f, _, _, _ = runs[cand.restart]
+        assert np.max(np.abs(f)) < cfg.tol
+        assert cand.objective == float(np.sum(f ** 2))
+
+
+def test_search_over_the_evaluation_budget_is_refused_before_any_restart(state_float):
+    # restarts x max_iters x n: 2 x 400,000 x 7 is over causal.DEFAULT_BUDGET
+    cfg = SolverConfig(seed=5, restarts=2, max_iters=400_000)
+    with patch.object(search, "least_squares", side_effect=AssertionError("a restart ran")), \
+            pytest.raises(BudgetError, match="5600000 objective evaluations"):
+        solve_noncommuting_cc(state_float, WINDOW, cfg)
+    # the defaults on the two-site window make 20 x 400 x 31 = 248,000, under it
+    obj = search._Objective(state_float, SEARCH_WINDOWS[1], SolverConfig())
+    assert len(obj.words) == 31
