@@ -6,6 +6,7 @@ value keeps every comparison and boundary test an exact integer operation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,6 +31,8 @@ def to_double(x) -> int:
             raise SchemaError(f"{x} is not a half-integer")
         return int(d)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise SchemaError(f"{x} is not a half-integer")
         d = round(2 * x)
         if abs(2 * x - d) > 1e-9:
             raise SchemaError(f"{x} is not a half-integer")

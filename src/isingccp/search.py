@@ -22,9 +22,9 @@ sec. 2): with h = V diag(l) V^H,
     dC/dx_j = V (K o V^H B_j V) V^H,    K_ab = 1 / (l_a - l_b)
 
 when exactly one of a, b is a kept eigenvalue, the kept one first, and
-K_ab = 0 otherwise or where that gap is exactly 0.  The Jacobian at an
-accepted point reuses the eigendecomposition that the objective made there,
-so a step costs one ``eigh``.
+K_ab = 0 otherwise or where that gap is exactly 0.  Each point is evaluated
+once: the Jacobian and each restart's candidate C reuse what the objective
+computed there, so a restart makes one ``eigh`` per objective evaluation.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .algebra import (
     is_projection,
     localization,
     qubit_range,
-    support_interval,
     terms_json,
     to_matrix,
     window_monomials,
@@ -76,10 +75,10 @@ class SolverConfig:
     ``max_iters`` caps the solver's ``nfev`` at ``max_iters * n`` per
     restart, for the ``n = 2**s - 1`` basis monomials of a window of ``s``
     half-integer sites.  One restart makes at most ``max_iters * n``
-    objective evaluations and at most as many Jacobians, each reusing the
-    ``eigh`` of its point's objective evaluation.  A search whose bound
-    ``restarts * max_iters * n`` exceeds ``causal.DEFAULT_BUDGET`` is
-    refused with :class:`~isingccp.errors.BudgetError` before any restart.
+    objective evaluations and at most as many Jacobians.  A search whose
+    bound ``restarts * max_iters * n``, or whose basis of ``n`` dense
+    ``dim x dim`` matrices, exceeds ``causal.DEFAULT_BUDGET`` is refused with
+    :class:`~isingccp.errors.BudgetError` before any basis matrix is built.
     """
 
     seed: int = 0
@@ -118,11 +117,12 @@ class Candidate:
 
 
 class LeastSquaresResult(NamedTuple):
-    """The last accepted point, its residual rows, the numbers of ``fun``
-    and ``jac`` calls, and the status :func:`least_squares` stopped with."""
+    """The last accepted point with the rows and ``aux`` ``fun`` gave there,
+    the numbers of ``fun`` and ``jac`` calls, and the status it stopped with."""
 
     x: np.ndarray
     fun: np.ndarray
+    aux: object
     nfev: int
     njev: int
     status: int
@@ -133,11 +133,12 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult
     by Levenberg-Marquardt (K. Madsen, H. B. Nielsen, O. Tingleff, *Methods
     for Non-Linear Least Squares Problems*, 2004, sec. 3.2; J. J. Moré, 1978).
 
-    ``fun(x)`` returns the rows ``f`` at ``x`` and whatever ``jac`` needs
-    there; ``jac(x, aux)`` gives the ``(m, n)`` Jacobian ``J`` and is asked
-    only at the start and at accepted points, with what ``fun`` returned
-    there.  A step solves one ``m x m`` system: ``y = (J J^T + lam I)^-1 f``
-    and ``step = -J^T y``.  ``lam`` starts at ``1e-3 max diag(J J^T)``; an
+    ``fun(x)`` returns the rows ``f`` at ``x`` and an ``aux`` with whatever
+    ``jac`` needs there; ``jac(x, aux)`` gives the ``(m, n)`` Jacobian ``J``
+    and is asked only at the start and at accepted points, with that
+    ``aux``, which the result also carries for its last accepted point.  A
+    step solves one ``m x m`` system: ``y = (J J^T + lam I)^-1 f`` and
+    ``step = -J^T y``.  ``lam`` starts at ``1e-3 max diag(J J^T)``; an
     accepted step, with gain ratio ``rho``, scales it by
     ``max(1/3, 1 - (2 rho - 1)**3)`` and resets ``nu`` to 2, and a rejected
     one scales it by ``nu`` and doubles ``nu``.
@@ -158,7 +159,7 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult
     lam, nu = None, 2.0
 
     def result(status):
-        return LeastSquaresResult(x, f, nfev, njev, status)
+        return LeastSquaresResult(x, f, aux, nfev, njev, status)
 
     while True:
         cost = f @ f
@@ -193,8 +194,8 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LeastSquaresResult
         rho = float(drop / predicted) if predicted > drop else 1.0
         lam *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
         nu = 2.0
-        x, f = x_new, f_new
-        jmat = jac(x, aux_new)
+        x, f, aux = x_new, f_new, aux_new
+        jmat = jac(x, aux)
         njev += 1
         if drop < _TOL * cost:
             return result(2)
@@ -205,11 +206,11 @@ class _Objective:
     their Jacobian, and the check of each restart's candidate.
 
     ``evaluate(x)`` gives the ``m`` residual rows at ``x``, ``m`` being 2, or
-    4 under the commuting constraint, with the eigendecomposition of h(x)
-    they came from, which ``jac`` takes.  Each row f is a function of C
-    alone with df = Re tr(dC G) for a matrix G, so by the module docstring's
-    formula df/dx_j = Re tr(B_j V (K o V^H G V) V^H): one transform per row
-    and one product with the basis give the whole Jacobian.
+    4 under the commuting constraint, with everything it computed for them,
+    which ``jac`` reads instead of computing it again.  Each row f is a
+    function of C alone with df = Re tr(dC G) for a matrix G, so by the
+    module docstring's formula df/dx_j = Re tr(B_j V (K o V^H G V) V^H): one
+    transform per row and one product with the basis give the whole Jacobian.
     """
 
     def __init__(self, fstate: LambdaState, window: DoubleCone, cfg: SolverConfig):
@@ -227,16 +228,22 @@ class _Objective:
             raise BudgetError(
                 f"matrix window needs {n_full} qubits, over the budget of {cfg.max_window_qubits}"
             )
-        # the Hermitian basis of the window algebra (identity excluded): a
-        # monomial, or i times it when its adjoint is minus itself
-        self.words = [(word, "+1" if sign > 0 else "+i") for word, sign in window_monomials(sites)]
-        evaluations = cfg.restarts * cfg.max_iters * len(self.words)
+        n = 2 ** len(sites) - 1  # the basis monomials, identity excluded
+        evaluations = cfg.restarts * cfg.max_iters * n
         if evaluations > DEFAULT_BUDGET:
             raise BudgetError(
                 f"the search may make {evaluations} objective evaluations ({cfg.restarts} restarts"
-                f" x {cfg.max_iters} x {len(self.words)}), over the budget of {DEFAULT_BUDGET}"
+                f" x {cfg.max_iters} x {n}), over the budget of {DEFAULT_BUDGET}"
             )
         self.dim = dim = 2 ** n_full
+        if n * dim * dim > DEFAULT_BUDGET:
+            raise BudgetError(
+                f"the search basis needs {n * dim * dim} matrix entries ({n} monomials"
+                f" x {dim} x {dim}), over the budget of {DEFAULT_BUDGET}"
+            )
+        # the Hermitian basis of the window algebra (identity excluded): a
+        # monomial, or i times it when its adjoint is minus itself
+        self.words = [(word, "+1" if sign > 0 else "+i") for word, sign in window_monomials(sites)]
         win_dim = 2 ** len(qubit_range((sites[0], sites[-1])))
         rank = cfg.rank if cfg.rank is not None else win_dim // 2
         if not 0 < rank < win_dim:
@@ -261,47 +268,36 @@ class _Objective:
         n, dim = len(self.basis_flat), self.dim
         return np.dot(x.reshape(1, n), self.basis_flat).reshape(dim, dim)
 
-    def _top(self, vecs: np.ndarray) -> np.ndarray:
-        top = vecs[:, self.dim - self.rank_full:]
-        return top @ top.conj().T
-
     def _traces(self, cell: np.ndarray) -> list:
         """Tr(S cell rho cell) for the four sectors S."""
         rho_k = cell @ self.rho @ cell
         return [np.trace(s @ rho_k).real for s in self.sector_mats]
 
-    def projector(self, x: np.ndarray) -> np.ndarray:
-        """The rank-``rank_full`` top spectral projection of h(x)."""
-        return self._top(np.linalg.eigh(self._h(x))[1])
-
     def evaluate(self, x: np.ndarray) -> tuple:
-        """The residual rows at ``x`` and the eigendecomposition of h(x)."""
-        spectrum = np.linalg.eigh(self._h(x))
-        c = self._top(spectrum[1])
-        out = []
-        for cell in (c, self.eye - c):
-            t = self._traces(cell)
-            out.append(t[0] * t[1] - t[2] * t[3])
+        """The residual rows at ``x`` and the tuple ``(vals, vecs, cells,
+        traces)`` they came from: the eigendecomposition of h(x), the cells C
+        (its rank-``rank_full`` top spectral projection) and 1 - C, and each
+        cell's four sector traces."""
+        vals, vecs = np.linalg.eigh(self._h(x))
+        top = vecs[:, self.dim - self.rank_full:]
+        c = top @ top.conj().T
+        cells = (c, self.eye - c)
+        traces = tuple(self._traces(cell) for cell in cells)
+        out = [t[0] * t[1] - t[2] * t[3] for t in traces]
         if self.constrained:
             out += [_PENALTY * (np.linalg.norm(c @ e - e @ c) / self.dim) for e in self.event_mats]
-        return np.array(out), spectrum
+        return np.array(out), (vals, vecs, cells, traces)
 
-    def fun(self, x: np.ndarray) -> np.ndarray:
-        """The residual rows at ``x``."""
-        return self.evaluate(x)[0]
-
-    def jac(self, x: np.ndarray, spectrum: tuple | None = None) -> np.ndarray:
-        """The ``(m, n)`` Jacobian of the rows at ``x``, from ``spectrum``, the
-        eigendecomposition of h(x) that ``evaluate(x)`` returned, or from a
-        new one when it is not given."""
-        vals, vecs = spectrum if spectrum is not None else np.linalg.eigh(self._h(x))
-        c = self._top(vecs)
+    def jac(self, x: np.ndarray, point: tuple) -> np.ndarray:
+        """The ``(m, n)`` Jacobian of the rows at ``x``, from the ``point``
+        tuple that ``evaluate(x)`` returned, with no ``eigh`` or traces."""
+        vals, vecs, cells, traces = point
+        c = cells[0]
         s0, s1, s2, s3 = self.sector_mats
         grads = []  # G per row, with d row = Re tr(dC G)
-        for sign, cell in ((2.0, c), (-2.0, self.eye - c)):
+        for sign, cell, t in zip((2.0, -2.0), cells, traces):
             # d Tr(S D rho D) = 2 Re Tr(dD rho D S) for Hermitian dD = +-dC;
             # the product rule weighs each sector by its partner's trace
-            t = self._traces(cell)
             grads.append(sign * (self.rho @ cell @ (t[1] * s0 + t[0] * s1 - t[3] * s2 - t[2] * s3)))
         if self.constrained:
             for e in self.event_mats:
@@ -350,10 +346,7 @@ class _Objective:
         comm = commutes(c_op, fstate.a, 1e-9) and commutes(c_op, fstate.b, 1e-9)
         if self.constrained and not comm:
             return "noncommuting"
-        span = support_interval(c_op)
-        if span is None:
-            span = (from_double(self.sites[0]), from_double(self.sites[-1]))
-        cone = DoubleCone(0, to_double(span[0]), to_double(span[1]))
+        cone = localization(c_op)
         cell_trivial = tuple(c.trivial for c in report.cells)
         return Candidate(
             projection=c_op,
@@ -362,7 +355,7 @@ class _Objective:
             commuting=comm,
             cell_trivial=cell_trivial,
             trivial=all(cell_trivial),
-            support=span,
+            support=(cone.i, cone.j),
             localization={mode: pasts(self.a_loc, self.b_loc, mode).contains(cone)
                           for mode in PAST_MODES},
             restart=restart,
@@ -390,7 +383,7 @@ def solve_noncommuting_cc(state: LambdaState, window, config: SolverConfig | Non
         rng = np.random.default_rng([cfg.seed, restart])
         result = least_squares(obj.evaluate, rng.normal(size=n), obj.jac, cfg.max_iters * n)
         objective = float(np.sum(result.fun ** 2))
-        verdict = obj.judge(obj.projector(result.x), restart, objective)
+        verdict = obj.judge(result.aux[2][0], restart, objective)  # the point's C
         accepted = isinstance(verdict, Candidate)
         if accepted:
             candidates.append(verdict)

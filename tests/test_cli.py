@@ -136,6 +136,20 @@ def test_solve_nc_over_the_search_budget_exits_3_before_any_restart(capsys):
     assert "5000800 objective evaluations" in capsys.readouterr().err
 
 
+def test_search_basis_over_the_budget_exits_3_before_any_basis_matrix(tmp_path, capsys):
+    # 1 restart x 1 iteration x 131,071 monomials passes the evaluation budget
+    # and the 10 qubits pass max_window_qubits, but the basis would hold
+    # 131,071 matrices of 1024 x 1024 entries
+    scenario = load_scenario("common-cause-demo")
+    scenario["window"] = {"t": 0, "i": "0", "j": "8"}
+    scenario["solver"] = {"restarts": 1, "max_iters": 1}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    with patch.object(search, "to_matrix", side_effect=AssertionError("a basis matrix was built")):
+        assert run_cli("run", str(path)) == 3
+    assert "131071 monomials x 1024 x 1024" in capsys.readouterr().err
+
+
 def test_ccp_solve_nc(tmp_path, capsys):
     scenario = _demo_scenario_with_partition()
     del scenario["partition"]

@@ -7,11 +7,13 @@ from isingccp import (
     DoubleCone,
     PreconditionError,
     Region,
+    SchemaError,
     causal_future,
     causal_past,
     pasts,
     spacelike_separated,
 )
+from isingccp.halfint import to_double
 
 
 def test_cone_parity_constraint():
@@ -19,6 +21,12 @@ def test_cone_parity_constraint():
     DoubleCone.minimal(1, 0)
     with pytest.raises(PreconditionError):
         DoubleCone.minimal(Fraction(1, 2), 0)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), 0.25])
+def test_float_that_is_not_a_half_integer_is_a_schema_error(x):
+    with pytest.raises(SchemaError):
+        to_double(x)
 
 
 def test_surface_cones():

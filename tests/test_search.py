@@ -229,8 +229,9 @@ def test_objective_equals_the_per_point_reference(state_float, window, constrain
     projector, objective = _per_point(obj)
     for _ in range(k):
         x = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
-        assert _same_bits(obj.projector(x), projector(x))
-        assert _same_bits(obj.fun(x), objective(x))
+        rows, (_, _, (c, _), _) = obj.evaluate(x)
+        assert _same_bits(c, projector(x))
+        assert _same_bits(rows, objective(x))
 
 
 def _central_differences(fun, x, step=1e-6):
@@ -245,48 +246,56 @@ def test_jacobian_matches_central_differences(state_float, window, constrained):
     n = obj.basis_flat.shape[0]
     rng = np.random.default_rng(7)
     for x in (rng.normal(size=n) for _ in range(3)):
-        want = _central_differences(obj.fun, x)
-        cold = obj.jac(x)  # the last fun call was elsewhere: jac evaluates fun(x) itself
-        obj.fun(x)
-        assert _same_bits(obj.jac(x), cold)  # the eigendecomposition of the last fun call
-        assert cold.shape == (4 if constrained else 2, n)
-        assert np.max(np.abs(cold - want)) <= 1e-6 * np.max(np.abs(want))
+        want = _central_differences(lambda y: obj.evaluate(y)[0], x)
+        got = obj.jac(x, obj.evaluate(x)[1])
+        obj.evaluate(x + 1.0)
+        # jac reads only the point it is given, not the last evaluation
+        assert _same_bits(obj.jac(x, obj.evaluate(x)[1]), got)
+        assert got.shape == (4 if constrained else 2, n)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
     # at x = 0 every eigenvalue ties: every gap is 0 and the Jacobian stays finite
-    assert np.all(np.isfinite(obj.jac(np.zeros(n))))
+    assert np.all(np.isfinite(obj.jac(np.zeros(n), obj.evaluate(np.zeros(n))[1])))
 
 
 @pytest.mark.parametrize("constrained", [False, True])
 def test_solve_runs_one_eigh_per_objective_evaluation(state_float, constrained):
     cfg = SolverConfig(seed=5, restarts=2, tol=1e-8, max_iters=15,
                        commuting_constraint=constrained)
-    eighs, counts, jac_eighs = [], [], []
-    eigh, least_squares, jac = np.linalg.eigh, search.least_squares, search._Objective.jac
+    eighs, traces, counts, jac_calls = [], [], [], []
+    eigh, least_squares = np.linalg.eigh, search.least_squares
+    jac, trace_cells = search._Objective.jac, search._Objective._traces
 
     def counted_eigh(a, *args, **kwargs):
         eighs.append(a.shape)
         return eigh(a, *args, **kwargs)
 
+    def counted_traces(self, cell):
+        traces.append(cell.shape)
+        return trace_cells(self, cell)
+
     def counted_least_squares(*args, **kwargs):
         out = least_squares(*args, **kwargs)
-        _, _, nfev, njev, _ = out
-        counts.append((nfev, njev))
+        counts.append((out.nfev, out.njev))
         return out
 
-    def counted_jac(self, x, spectrum=None):
-        before = len(eighs)
-        out = jac(self, x, spectrum)
-        jac_eighs.append(len(eighs) - before)
+    def counted_jac(self, x, point):
+        before = len(eighs), len(traces)
+        out = jac(self, x, point)
+        jac_calls.append((len(eighs), len(traces)) != before)
         return out
 
     with patch.object(np.linalg, "eigh", counted_eigh), \
+            patch.object(search._Objective, "_traces", counted_traces), \
             patch.object(search, "least_squares", counted_least_squares), \
             patch.object(search._Objective, "jac", counted_jac):
         solve_noncommuting_cc(state_float, WINDOW, cfg)
     assert len(counts) == 2
-    # one per objective evaluation, plus each restart's final projector
-    assert len(eighs) == sum(nfev for nfev, _ in counts) + 2
-    assert len(jac_eighs) == sum(njev for _, njev in counts) > 0
-    assert not any(jac_eighs)
+    # one per objective evaluation, and none for a restart's candidate
+    assert len(eighs) == sum(nfev for nfev, _ in counts)
+    assert len(traces) == 2 * sum(nfev for nfev, _ in counts)
+    # no Jacobian makes an eigh or takes a trace
+    assert len(jac_calls) == sum(njev for _, njev in counts) > 0
+    assert not any(jac_calls)
 
 
 # -- the Levenberg-Marquardt loop ----------------------------------------------
@@ -312,9 +321,25 @@ def test_solver_stays_within_max_iters_times_n(state_float, window, constrained)
     runs, _ = _solver_runs(state_float, window, cfg)
     cap = cfg.max_iters * (2 ** len(window.sites()) - 1)
     assert len(runs) == 3
-    for _, _, nfev, njev, status in runs:
-        assert 1 <= njev <= nfev <= cap
-        assert status != 0 or nfev == cap  # status 0: stopped at the cap, not past it
+    for run in runs:
+        assert 1 <= run.njev <= run.nfev <= cap
+        assert run.status != 0 or run.nfev == cap  # status 0: stopped at the cap, not past it
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("window", SEARCH_WINDOWS)
+def test_solver_returns_what_its_last_accepted_point_evaluated(state_float, window, constrained):
+    obj = _objective(state_float, window, constrained)
+    n = obj.basis_flat.shape[0]
+    for seed in range(3):
+        x0 = np.random.default_rng([5, seed]).normal(size=n)
+        out = search.least_squares(obj.evaluate, x0, obj.jac, 20 * n)
+        rows, point = obj.evaluate(out.x)
+        assert _same_bits(out.fun, rows)
+        vals, vecs, cells, traces = point
+        assert _same_bits(out.aux[0], vals) and _same_bits(out.aux[1], vecs)
+        assert all(_same_bits(a, b) for a, b in zip(out.aux[2], cells, strict=True))
+        assert all(_same_bits(a, b) for a, b in zip(out.aux[3], traces, strict=True))
 
 
 @pytest.mark.parametrize("constrained", [False, True])
@@ -323,11 +348,11 @@ def test_solver_start_where_every_eigenvalue_ties_ends_finite(state_float, const
     n = obj.basis_flat.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, f, nfev, njev, status = search.least_squares(obj.evaluate, np.zeros(n), obj.jac, 400 * n)
-    assert np.all(np.isfinite(x)) and np.all(np.isfinite(f))
+        out = search.least_squares(obj.evaluate, np.zeros(n), obj.jac, 400 * n)
+    assert np.all(np.isfinite(out.x)) and np.all(np.isfinite(out.fun))
     # the start is final: its cost is 0 (status 4), or every gap is 0, so the
     # Jacobian and the gradient vanish (status 1)
-    assert (nfev, njev) == (1, 1) and status in (1, 4)
+    assert (out.nfev, out.njev) == (1, 1) and out.status in (1, 4)
 
 
 def test_accepted_restarts_end_with_rows_below_tol(state_float):
@@ -335,7 +360,7 @@ def test_accepted_restarts_end_with_rows_below_tol(state_float):
     runs, found = _solver_runs(state_float, WINDOW, cfg)
     assert found
     for cand in found:
-        _, f, _, _, _ = runs[cand.restart]
+        f = runs[cand.restart].fun
         assert np.max(np.abs(f)) < cfg.tol
         assert cand.objective == float(np.sum(f ** 2))
 
