@@ -30,7 +30,7 @@ from itertools import product as iter_product
 from typing import NamedTuple
 
 from .algebra import DEFAULT_TOL, Operator, commutes
-from .errors import BudgetError, ExactnessError, ModeError, PreconditionError
+from .errors import DEFAULT_BUDGET, BudgetError, ExactnessError, ModeError, PreconditionError
 from .exact import ExactScalar, coerce, is_zero
 from .states import (
     SECTORS,
@@ -53,12 +53,9 @@ __all__ = [
     "screening_weight",
     "WeightResult",
     "common_cause_candidate",
-    "DEFAULT_BUDGET",
 ]
 
 _TRIVIALITY_LABELS = ("A", "A'", "B", "B'")
-# rank profiles an enumeration may count before it gives up
-DEFAULT_BUDGET = 5_000_000
 
 
 def scalar_json(v):
@@ -338,8 +335,8 @@ def _cell_test(w, m):
     With P = w_AB w_A'B', Q = w_AB' w_A'B and (L, R) = _rank_products(m, r),
     the identity P*L == Q*R holds iff a*L == b*R, where (a, b) is (0, 0) if
     P = Q = 0, (0, 1) if only P = 0, (1, 0) if only Q = 0, and P/Q = a/b if
-    that ratio is rational.  If it is not, only L = R = 0 passes, since
-    L, R >= 0 are integers.  The weights are inspected here, once."""
+    that ratio is rational.  If it is not, (a, b) = (1, -1): only L = R = 0
+    passes, since L, R >= 0.  The weights are inspected here, once."""
     p, q = w[0] * w[1], w[2] * w[3]
     if p.is_zero or q.is_zero:
         a, b = int(not p.is_zero), int(not q.is_zero)
@@ -349,9 +346,7 @@ def _cell_test(w, m):
             rational = ratio.is_rational
         except ExactnessError:  # P/Q is not a polynomial in pi
             rational = False
-        if not rational:
-            return lambda r: _rank_products(m, r) == (0, 0)
-        a, b = ratio.as_fraction().as_integer_ratio()
+        a, b = ratio.as_fraction().as_integer_ratio() if rational else (1, -1)
 
     def passes(r):
         lhs, rhs = _rank_products(m, r)

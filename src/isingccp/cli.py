@@ -28,7 +28,6 @@ from typing import NamedTuple
 from . import __version__
 from .algebra import Operator, localization, terms_json
 from .causal import (
-    DEFAULT_BUDGET,
     commuting_ccs_residuals,
     common_cause_candidate,
     enumerate_commuting_tuples,
@@ -37,7 +36,7 @@ from .causal import (
     screening_weight,
 )
 from .dynamics import DynamicsParams, apply_beta, beta_generator_image, check_primitive_causality
-from .errors import BudgetError, ModeError, PreconditionError, SchemaError
+from .errors import DEFAULT_BUDGET, BudgetError, ModeError, PreconditionError, SchemaError
 from .exact import ExactScalar, is_zero, parse_exact
 from .geometry import PAST_MODES, DoubleCone, pasts, spacelike_separated
 from .halfint import double_str
@@ -396,8 +395,7 @@ def _analysis_family(state, triples, exact):
     out = []
     for triple in triples:
         c = common_cause_candidate(*triple, exact=exact)
-        part = PartitionOfUnity([c, Operator.identity(exact) - c])
-        report = noncommuting_ccs_residuals(state, part)
+        report = noncommuting_ccs_residuals(state, (c, Operator.identity(exact) - c))
         out.append(
             {
                 "a": [str(v) for v in triple] if exact else [float(v) for v in triple],
@@ -483,8 +481,7 @@ def _write_plots(state, plots: dict, report_dir):
                         math.cos(theta),
                     )
                     c = common_cause_candidate(*a)
-                    part = PartitionOfUnity([c, Operator.identity() - c])
-                    rep = noncommuting_ccs_residuals(fstate, part)
+                    rep = noncommuting_ccs_residuals(fstate, (c, Operator.identity() - c))
                     writer.writerow(
                         [f"{a[0]:.12g}", f"{a[1]:.12g}", f"{a[2]:.12g}"]
                         + [f"{cell.residual.real:.17g}" for cell in rep.cells]

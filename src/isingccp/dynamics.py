@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Operator, support_interval
-from .errors import ExactnessError, PreconditionError, SchemaError
+from .errors import DEFAULT_BUDGET, BudgetError, ExactnessError, PreconditionError, SchemaError
 from .exact import ExactScalar, is_zero
 from .halfint import from_double, to_double
 
@@ -137,6 +137,9 @@ def apply_beta(params: DynamicsParams, x: Operator, t: int) -> Operator:
     the surface support of x.  x needs time label 0, which every operator
     has except the images evolution labels, so an arithmetic result, even
     of evolved operators, is evolved over its support.
+
+    Once its products have multiplied more than ``DEFAULT_BUDGET`` pairs of
+    monomials, it raises :class:`~isingccp.errors.BudgetError`.
     """
     if t < 0:
         raise PreconditionError(
@@ -147,13 +150,18 @@ def apply_beta(params: DynamicsParams, x: Operator, t: int) -> Operator:
         raise PreconditionError("apply_beta expects an operator with time label 0")
     span = None if x.is_zero else support_interval(x)
     base = None if span is None else (to_double(span[0]), to_double(span[1]))
-    out = x
+    out, pairs = x, 0
     for _ in range(t):
         acc = Operator.zero(x.exact)
         for sites, coeff in out.terms():
             term = Operator.identity(x.exact)
             for s in sites:
-                term = term * _generator_image(params, s, x.exact)
+                image = _generator_image(params, s, x.exact)
+                pairs += len(term) * len(image)
+                if pairs > DEFAULT_BUDGET:
+                    raise BudgetError(f"evolving by {t} steps multiplies over {DEFAULT_BUDGET}"
+                                      " monomial pairs, the budget")
+                term = term * image
             acc = acc + term.scaled(coeff)
         out = acc
     return out.with_labels(t, base)

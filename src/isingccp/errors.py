@@ -10,7 +10,12 @@ __all__ = [
     "PreconditionError",
     "ModeError",
     "ExactnessError",
+    "DEFAULT_BUDGET",
 ]
+
+# the work an enumeration (rank profiles), a search (objective evaluations and
+# basis matrix entries) or an evolution (monomial pairs) may do before it gives up
+DEFAULT_BUDGET = 5_000_000
 
 
 class SchemaError(ValueError):

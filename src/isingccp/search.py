@@ -46,8 +46,8 @@ from .algebra import (
     to_matrix,
     window_monomials,
 )
-from .causal import DEFAULT_BUDGET, noncommuting_ccs_residuals
-from .errors import BudgetError, PreconditionError
+from .causal import noncommuting_ccs_residuals
+from .errors import DEFAULT_BUDGET, BudgetError, PreconditionError
 from .geometry import PAST_MODES, DoubleCone, pasts
 from .halfint import double_str, from_double, to_double
 from .states import SECTORS, LambdaState
@@ -77,7 +77,7 @@ class SolverConfig:
     half-integer sites.  One restart makes at most ``max_iters * n``
     objective evaluations and at most as many Jacobians.  A search whose
     bound ``restarts * max_iters * n``, or whose basis of ``n`` dense
-    ``dim x dim`` matrices, exceeds ``causal.DEFAULT_BUDGET`` is refused with
+    ``dim x dim`` matrices, exceeds ``errors.DEFAULT_BUDGET`` is refused with
     :class:`~isingccp.errors.BudgetError` before any basis matrix is built.
     """
 
@@ -275,39 +275,39 @@ class _Objective:
 
     def evaluate(self, x: np.ndarray) -> tuple:
         """The residual rows at ``x`` and the tuple ``(vals, vecs, cells,
-        traces)`` they came from: the eigendecomposition of h(x), the cells C
-        (its rank-``rank_full`` top spectral projection) and 1 - C, and each
-        cell's four sector traces."""
+        traces, comms)`` they came from: the eigendecomposition of h(x), the
+        cells C (its rank-``rank_full`` top spectral projection) and 1 - C,
+        each cell's four sector traces, and under the commuting constraint
+        each event E's commutator D = C E - E C with its norm (else none)."""
         vals, vecs = np.linalg.eigh(self._h(x))
         top = vecs[:, self.dim - self.rank_full:]
         c = top @ top.conj().T
         cells = (c, self.eye - c)
         traces = tuple(self._traces(cell) for cell in cells)
         out = [t[0] * t[1] - t[2] * t[3] for t in traces]
+        comms = ()
         if self.constrained:
-            out += [_PENALTY * (np.linalg.norm(c @ e - e @ c) / self.dim) for e in self.event_mats]
-        return np.array(out), (vals, vecs, cells, traces)
+            comms = tuple((d, np.linalg.norm(d)) for d in (c @ e - e @ c for e in self.event_mats))
+            out += [_PENALTY * (norm / self.dim) for _, norm in comms]
+        return np.array(out), (vals, vecs, cells, traces, comms)
 
     def jac(self, x: np.ndarray, point: tuple) -> np.ndarray:
         """The ``(m, n)`` Jacobian of the rows at ``x``, from the ``point``
-        tuple that ``evaluate(x)`` returned, with no ``eigh`` or traces."""
-        vals, vecs, cells, traces = point
-        c = cells[0]
+        tuple that ``evaluate(x)`` returned, with no ``eigh``, traces or
+        commutators."""
+        vals, vecs, cells, traces, comms = point
         s0, s1, s2, s3 = self.sector_mats
         grads = []  # G per row, with d row = Re tr(dC G)
         for sign, cell, t in zip((2.0, -2.0), cells, traces):
             # d Tr(S D rho D) = 2 Re Tr(dD rho D S) for Hermitian dD = +-dC;
             # the product rule weighs each sector by its partner's trace
             grads.append(sign * (self.rho @ cell @ (t[1] * s0 + t[0] * s1 - t[3] * s2 - t[2] * s3)))
-        if self.constrained:
-            for e in self.event_mats:
-                # d|D| = Re Tr(D^H dD) / |D| for D = C E - E C, and
-                # Tr(D^H (dC E - E dC)) = Tr(dC (E D^H - D^H E))
-                d = c @ e - e @ c
-                norm = np.linalg.norm(d)
-                dh = d.conj().T
-                grads.append((e @ dh - dh @ e) * (_PENALTY / (self.dim * norm)) if norm
-                             else np.zeros_like(d))
+        for e, (d, norm) in zip(self.event_mats, comms):
+            # d|D| = Re Tr(D^H dD) / |D| for D = C E - E C, and
+            # Tr(D^H (dC E - E dC)) = Tr(dC (E D^H - D^H E))
+            dh = d.conj().T
+            grads.append((e @ dh - dh @ e) * (_PENALTY / (self.dim * norm)) if norm
+                         else np.zeros_like(d))
         gap = self.orient * (vals[:, None] - vals)
         k = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0)
         vh = vecs.conj().T
@@ -329,11 +329,10 @@ class _Objective:
         x = (self.basis_flat.conj() @ c_mat.ravel()).real / dim
         if np.linalg.norm(unit * self.eye + self._h(x) - c_mat) > 1e-8:
             return "outside window"
-        terms = [(unit, ())] + [(xj, word, phase) for xj, (word, phase) in zip(x, self.words)]
-        # keep the terms above 1e-11, inserted in ``Operator.terms()`` order:
-        # the float sums of the checks below depend on the insertion order
-        kept = sorted((term for term in terms if abs(term[0]) > 1e-11),
-                      key=lambda term: [to_double(s) for s in term[1]])
+        terms = [(unit, [])] + [(xj, word, phase) for xj, (word, phase) in zip(x, self.words)]
+        # keep the terms above 1e-11 in ``Operator.terms()`` order, ascending
+        # site lists: the float sums of the checks below depend on that order
+        kept = sorted((term for term in terms if abs(term[0]) > 1e-11), key=lambda term: term[1])
         c_op = Operator.from_terms(kept)
         if c_op.is_zero or not is_projection(c_op, 1e-8):
             return "not a projection"

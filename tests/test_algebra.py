@@ -13,8 +13,10 @@ from isingccp import (
     DynamicsParams,
     EXACT_I,
     ExactScalar,
+    ExactnessError,
     ModeError,
     Operator,
+    PI,
     PreconditionError,
     commutes,
     is_projection,
@@ -167,6 +169,30 @@ def test_exact_operator_arithmetic():
     assert a.trace() == ExactScalar(Fraction(1, 2))
 
 
+def test_division_and_left_multiplication_by_a_scalar():
+    a, f = half_sum(0, exact=True), half_sum(0)
+    assert a / 2 == a.scaled(Fraction(1, 2))
+    assert a / Fraction(1, 3) == a.scaled(3)
+    with pytest.raises(ExactnessError):
+        a / 0.5
+    with pytest.raises(ModeError):
+        a / "a"
+    assert f / 4 == f.scaled(0.25)
+    assert 2 * a == a.scaled(2) and 2 * f == f.scaled(2)
+
+
+def test_exact_operators_refuse_pi_coefficients():
+    # a projection's coefficients carry no pi, so pi enters only through weights
+    with pytest.raises(ExactnessError, match="Gaussian rationals"):
+        Operator.from_terms([(PI, [])], exact=True)
+    a = half_sum(0, exact=True)
+    with pytest.raises(ExactnessError):
+        a.scaled(PI)
+    with pytest.raises(ExactnessError):
+        a * (1 + PI * EXACT_I)
+    assert Operator.from_terms([(EXACT_I / 3, [0])], exact=True).trace() == 0
+
+
 # -- the dense matrix oracle ----------------------------------------------------
 
 
@@ -234,6 +260,7 @@ def test_oracle_relations():
         for j in sites:
             sign = -1 if abs(i - j) == HALF else 1
             assert np.array_equal(mats[i] @ mats[j], sign * (mats[j] @ mats[i]))
+        assert np.array_equal(mats[i] @ mats[i], np.eye(8))
     # explicit images on qubits -1, 0, 1 (qubit -1 is the leftmost factor)
     x, z, one = np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.eye(2)
 

@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest.mock import patch
 
@@ -130,7 +131,7 @@ def test_ccp_check_commuting(tmp_path, capsys):
 
 def test_solve_nc_over_the_search_budget_exits_3_before_any_restart(capsys):
     # 1,786 restarts x 400 iterations x 7 unknowns on the demo window [0, 1]
-    # is over causal.DEFAULT_BUDGET
+    # is over DEFAULT_BUDGET
     with patch.object(search, "least_squares", side_effect=AssertionError("a restart ran")):
         assert run_cli("ccp", "solve-nc", "common-cause-demo", "--restarts", "1786") == 3
     assert "5000800 objective evaluations" in capsys.readouterr().err
@@ -148,6 +149,62 @@ def test_search_basis_over_the_budget_exits_3_before_any_basis_matrix(tmp_path, 
     with patch.object(search, "to_matrix", side_effect=AssertionError("a basis matrix was built")):
         assert run_cli("run", str(path)) == 3
     assert "131071 monomials x 1024 x 1024" in capsys.readouterr().err
+
+
+def test_solve_nc_finds_no_commuting_common_cause(capsys):
+    assert run_cli("ccp", "solve-nc", "common-cause-demo", "--commuting") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["config"]["commuting_constraint"] is True
+    assert out["found"] is False and out["candidates"] == []
+
+
+def _run_file(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return run_cli("run", str(path), "--out", str(tmp_path / "report.json"))
+
+
+_ADJACENT = {"events": {"A": {"site": "0", "time": 1}, "B": {"site": "1", "time": 1}}}
+_GENERIC = {
+    "mode": "float",
+    "dynamics": {"theta1": 0.7, "theta2": 0.4, "eta1": 1, "eta2": 1},
+    "weights": {"AB": 0.2, "ApBp": 0.3, "ABp": 0.15, "ApB": 0.35},
+    "analyses": ["correlation"],
+}
+
+
+def test_an_event_evolved_past_the_budget_exits_3(tmp_path, capsys):
+    scenario = {**_GENERIC, "events": {"A": {"site": "0", "time": 4}, "B": {"site": "40", "time": 4}}}
+    start = time.perf_counter()
+    assert _run_file(tmp_path, scenario) == 3
+    assert time.perf_counter() - start < 30  # about 0.5 s; unbounded, over 150 s
+    assert "monomial pairs" in capsys.readouterr().err
+
+
+def test_an_event_evolved_three_steps_stays_within_the_budget(tmp_path):
+    scenario = {**_GENERIC, "events": {"A": {"site": "0", "time": 3}, "B": {"site": "10", "time": 1}}}
+    assert _run_file(tmp_path, scenario) == 0
+
+
+def test_a_pi_coefficient_in_an_exact_literal_is_schema_error(capsys):
+    literal = json.dumps([{"coeff": "pi", "sites": []}, {"coeff": "1/2", "sites": ["0"]}])
+    assert run_cli("algebra", "trace", "--exact", "--op-json", literal) == 2
+    assert "Gaussian rationals" in capsys.readouterr().err
+
+
+def test_enumeration_of_a_float_scenario_is_precondition_error(tmp_path, capsys):
+    scenario = {**_FLOAT_EVENTS, **_ADJACENT, "analyses": ["correlation", "enumerate-commuting"]}
+    assert _run_file(tmp_path, scenario) == 4
+    assert "needs exact weights" in capsys.readouterr().err
+
+
+def test_family_is_checked_once_by_the_candidate(tmp_path):
+    # |a|^2 - 1 = 9e-10 passes the candidate's 1e-9, while C^2 - C = 2.25e-10
+    # would fail a second projection check at 1e-10
+    scenario = {**_FLOAT_EVENTS, **_ADJACENT, "family": {"coefficients": [[0.6, 0.8, 3e-5]]}}
+    assert _run_file(tmp_path, scenario) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [entry["a"] for entry in report["results"]["family_residuals"]] == [[0.6, 0.8, 3e-5]]
 
 
 def test_ccp_solve_nc(tmp_path, capsys):
@@ -466,6 +523,8 @@ def test_the_package_republishes_each_module_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(isingccp, name) is getattr(module, name), (module.__name__, name)
+    # errors publishes the one budget; causal still resolves it
+    assert isingccp.causal.DEFAULT_BUDGET == isingccp.DEFAULT_BUDGET == 5_000_000
     # no module reaches into another for a private name
     for path in Path(isingccp.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -5,6 +5,7 @@ import pytest
 
 from isingccp import dynamics
 from isingccp import (
+    BudgetError,
     DynamicsParams,
     ExactnessError,
     Operator,
@@ -184,3 +185,12 @@ def test_three_steps_at_generic_angles_fit_the_image_cache():
     info = dynamics._generator_image.cache_info()
     assert info.maxsize == 256
     assert 0 < info.currsize == info.misses  # nothing was evicted
+
+
+def test_evolution_past_the_budget_raises():
+    # at generic angles the event (1 + U_0)/2 multiplies 57,055 monomial pairs
+    # over three steps and about 14 million over four
+    params, x = DynamicsParams(0.7, 0.4), half_sum(0)
+    assert len(apply_beta(params, x, 3)) == 1152
+    with pytest.raises(BudgetError, match="5000000 monomial pairs"):
+        apply_beta(params, x, 4)

@@ -229,9 +229,13 @@ def test_objective_equals_the_per_point_reference(state_float, window, constrain
     projector, objective = _per_point(obj)
     for _ in range(k):
         x = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
-        rows, (_, _, (c, _), _) = obj.evaluate(x)
+        rows, (_, _, (c, _), _, comms) = obj.evaluate(x)
         assert _same_bits(c, projector(x))
         assert _same_bits(rows, objective(x))
+        # the commutators jac reads, one per event under the constraint
+        assert len(comms) == (2 if constrained else 0)
+        for e, (d, norm) in zip(obj.event_mats, comms):
+            assert _same_bits(d, c @ e - e @ c) and norm == np.linalg.norm(d)
 
 
 def _central_differences(fun, x, step=1e-6):
@@ -336,10 +340,12 @@ def test_solver_returns_what_its_last_accepted_point_evaluated(state_float, wind
         out = search.least_squares(obj.evaluate, x0, obj.jac, 20 * n)
         rows, point = obj.evaluate(out.x)
         assert _same_bits(out.fun, rows)
-        vals, vecs, cells, traces = point
+        vals, vecs, cells, traces, comms = point
         assert _same_bits(out.aux[0], vals) and _same_bits(out.aux[1], vecs)
         assert all(_same_bits(a, b) for a, b in zip(out.aux[2], cells, strict=True))
         assert all(_same_bits(a, b) for a, b in zip(out.aux[3], traces, strict=True))
+        assert all(_same_bits(a[0], b[0]) and _same_bits(a[1], b[1])
+                   for a, b in zip(out.aux[4], comms, strict=True))
 
 
 @pytest.mark.parametrize("constrained", [False, True])
@@ -366,7 +372,7 @@ def test_accepted_restarts_end_with_rows_below_tol(state_float):
 
 
 def test_search_over_the_evaluation_budget_is_refused_before_any_restart(state_float):
-    # restarts x max_iters x n: 2 x 400,000 x 7 is over causal.DEFAULT_BUDGET
+    # restarts x max_iters x n: 2 x 400,000 x 7 is over DEFAULT_BUDGET
     cfg = SolverConfig(seed=5, restarts=2, max_iters=400_000)
     with patch.object(search, "least_squares", side_effect=AssertionError("a restart ran")), \
             pytest.raises(BudgetError, match="5600000 objective evaluations"):
