@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import NamedTuple
 
 from .algebra import DEFAULT_TOL, Operator, commutes
@@ -281,24 +281,23 @@ def noncommuting_ccs_residuals(
 
 
 def _coerce_exact_weights(weights):
-    if isinstance(weights, dict):
-        seq = [weights[k] for k in SECTORS]
-    else:
-        seq = list(weights)
+    """The four sector weights as ExactScalars; P/Q does not depend on their scale."""
+    seq = [weights[k] for k in SECTORS] if isinstance(weights, dict) else list(weights)
     if len(seq) != 4:
         raise PreconditionError("expected four sector weights")
     try:
-        return [coerce(w, True) for w in seq]
-    except ModeError as exc:
-        raise PreconditionError("the exact decision needs exact weights") from exc
+        w = [coerce(v, True) for v in seq]
+        if all(v > 0 for v in w):
+            return w
+    except ModeError:  # a float weight, or a complex one, which has no order
+        pass
+    raise PreconditionError("the exact decision needs exact weights, each real and positive")
 
 
 def _sector_sizes(m) -> list:
     m = [int(v) for v in m]
-    if len(m) != 4:
-        raise PreconditionError("expected four sector sizes")
-    if any(v <= 0 for v in m):
-        raise PreconditionError("sector sizes must be positive")
+    if len(m) != 4 or any(v <= 0 for v in m):
+        raise PreconditionError("expected four positive sector sizes")
     return m
 
 
@@ -321,47 +320,32 @@ def exact_wccp_decision(weights, m, r) -> bool:
     w = _coerce_exact_weights(weights)
     m = _sector_sizes(m)
     r = [int(v) for v in r]
-    if len(r) != 4:
-        raise PreconditionError("expected four ranks")
-    if any(v < 0 or v > mv for v, mv in zip(r, m)):
-        raise PreconditionError("ranks must satisfy 0 <= r_P <= m_P")
+    if len(r) != 4 or any(v < 0 or v > mv for v, mv in zip(r, m)):
+        raise PreconditionError("expected four ranks with 0 <= r_P <= m_P")
     lhs, rhs = _rank_products(m, r)
     return w[0] * w[1] * lhs == w[2] * w[3] * rhs
 
 
-def _cell_test(w, m):
-    """An integer predicate on rank tuples r that agrees with exact_wccp_decision(w, m, r).
+def _cell_ratio(w) -> tuple:
+    """(a, b) with a*L == b*R iff exact_wccp_decision(w, m, r), (L, R) = _rank_products(m, r).
 
-    With P = w_AB w_A'B', Q = w_AB' w_A'B and (L, R) = _rank_products(m, r),
-    the identity P*L == Q*R holds iff a*L == b*R, where (a, b) is (0, 0) if
-    P = Q = 0, (0, 1) if only P = 0, (1, 0) if only Q = 0, and P/Q = a/b if
-    that ratio is rational.  If it is not, (a, b) = (1, -1): only L = R = 0
-    passes, since L, R >= 0.  The weights are inspected here, once."""
-    p, q = w[0] * w[1], w[2] * w[3]
-    if p.is_zero or q.is_zero:
-        a, b = int(not p.is_zero), int(not q.is_zero)
-    else:
-        try:
-            ratio = p / q
-            rational = ratio.is_rational
-        except ExactnessError:  # P/Q is not a polynomial in pi
-            rational = False
-        a, b = ratio.as_fraction().as_integer_ratio() if rational else (1, -1)
+    (a, b) is P/Q = w_AB w_A'B' / (w_AB' w_A'B) in lowest terms if that ratio is
+    rational, else (1, -1): then only L = R = 0 passes, since L, R >= 0."""
+    try:
+        return (w[0] * w[1] / (w[2] * w[3])).as_fraction().as_integer_ratio()
+    except ExactnessError:  # P/Q is not rational
+        return 1, -1
 
-    def passes(r):
-        lhs, rhs = _rank_products(m, r)
-        return a * lhs == b * rhs
 
-    return passes
+def _compositions(n: int, k: int) -> list:
+    """The splits of n into k nonnegative parts in lexicographic order, from stars and bars."""
+    return [tuple(y - x - 1 for x, y in zip((-1, *bars), (*bars, n + k - 1)))
+            for bars in combinations(range(n + k - 1), k - 1)]
 
 
 def _cell_trivial_ranks(r) -> bool:
-    return (
-        (r[1] == 0 and r[3] == 0)  # below A
-        or (r[0] == 0 and r[2] == 0)  # below A'
-        or (r[2] == 0 and r[1] == 0)  # below B
-        or (r[0] == 0 and r[3] == 0)  # below B'
-    )
+    """Below A, A', B or B': both ranks of the event's complement are 0."""
+    return not (r[1] or r[3]) or not (r[0] or r[2]) or not (r[2] or r[1]) or not (r[0] or r[3])
 
 
 class EnumerationResult(NamedTuple):
@@ -388,14 +372,17 @@ def enumerate_commuting_tuples(weights, m, k_size: int, budget: int = DEFAULT_BU
     complete verification that no nontrivial commuting partition of that
     size satisfies the screening-off condition on the window.
 
-    The weights are reduced once to an integer test per cell (see
-    :func:`_cell_test`), the cells passing it are listed, and a backtracking
-    search builds only the k-tuples of passing cells whose ranks add up to
-    each sector size; no scalar arithmetic happens per profile.  The
-    satisfying profiles come out in the order of the product, sector by
-    sector, of the lexicographic rank compositions.  ``checked`` is still
-    the closed-form number of profiles, prod_P C(m_P + k - 1, k - 1), and
-    the budget caps that number.
+    With (a, b) = :func:`_cell_ratio` a cell passes iff
+    a m_AB' m_A'B r_AB r_A'B' == b m_AB m_A'B' r_AB' r_A'B: the left side reads
+    only the AB and A'B' ranks, the right side only the AB' and A'B ones.  So
+    the (AB', A'B) halves of the profiles are indexed by their k-tuple of
+    right sides, and each (AB, A'B') half, in lexicographic order, is joined
+    with the halves whose tuple equals its own of left sides.  The satisfying
+    profiles come out sector-major, in lexicographic order of the rank splits.
+    ``checked`` is the closed-form number of profiles,
+    prod_P C(m_P + k - 1, k - 1), and the budget caps it.  The index holds
+    |splits_AB'| * |splits_A'B| entries, at most checked / 4 for k >= 2; when
+    that half is the large one, as for m = (1, 1, 600, 600), it costs most.
     """
     w = _coerce_exact_weights(weights)
     m = _sector_sizes(m)
@@ -403,27 +390,19 @@ def enumerate_commuting_tuples(weights, m, k_size: int, budget: int = DEFAULT_BU
         raise PreconditionError("partition size must be at least 1")
     count = math.prod(math.comb(mv + k_size - 1, k_size - 1) for mv in m)
     if count > budget:
-        raise BudgetError(
-            f"enumeration needs {count} rank profiles, over the budget of {budget}"
-        )
-    passes = _cell_test(w, m)
-    # cells 1..k-1 are passing cells that fit in what the earlier ones left;
-    # the last cell is whatever remains, so k = 1 lists no cells (there are
-    # prod (m_P + 1) of them, which the budget does not bound)
-    cells = iter_product(*(range(mv + 1) for mv in m)) if k_size > 1 else ()
-    good = [r for r in cells if passes(r)]
-    profiles = []
-    stack = [((), tuple(m), good)]
-    while stack:
-        prefix, rest, fits = stack.pop()
-        if len(prefix) == k_size - 1:
-            if passes(rest):
-                profiles.append(prefix + (rest,))
-            continue
-        fits = [c for c in fits if all(x <= y for x, y in zip(c, rest))]
-        stack.extend((prefix + (c,), tuple(y - x for x, y in zip(c, rest)), fits) for c in fits)
-    profiles.sort(key=lambda cells: tuple(zip(*cells)))
-    satisfying = [(cells, all(_cell_trivial_ranks(c) for c in cells)) for cells in profiles]
+        raise BudgetError(f"enumeration needs {count} rank profiles, over the budget of {budget}")
+    a, b = _cell_ratio(w)
+    splits = [_compositions(mv, k_size) for mv in m]
+    index = {}
+    for s2, s3 in iter_product(splits[2], splits[3]):
+        key = tuple(b * m[0] * m[1] * x * y for x, y in zip(s2, s3))
+        index.setdefault(key, []).append((s2, s3))
+    satisfying = []
+    for s0, s1 in iter_product(splits[0], splits[1]):
+        key = tuple(a * m[2] * m[3] * x * y for x, y in zip(s0, s1))
+        for s2, s3 in index.get(key, ()):
+            cells = tuple(zip(s0, s1, s2, s3))
+            satisfying.append((cells, all(_cell_trivial_ranks(c) for c in cells)))
     nontrivial = [cells for cells, trivial in satisfying if not trivial]
     return EnumerationResult(count, satisfying, nontrivial)
 

@@ -96,6 +96,13 @@ def _boolean(value) -> bool:
     return value
 
 
+def _known(obj: dict, keys, what: str) -> dict:
+    """``obj``, refused if it has a key outside ``keys``: a misspelt key would read as absent."""
+    if not set(obj) <= set(keys):
+        raise SchemaError(f"unknown keys {sorted(set(obj) - set(keys), key=str)} in {what}")
+    return obj
+
+
 def _coord(value) -> Fraction:
     """Half-integer from JSON: strings are fractions, bare ints are doubled."""
     if isinstance(value, str):
@@ -117,6 +124,7 @@ def _scalar(value, exact: bool):
 def _term(term, exact: bool):
     if not isinstance(term, dict) or not {"coeff", "sites"} <= set(term):
         raise TypeError('a term is {"coeff": ..., "sites": [...], "phase": ...}')
+    _known(term, ("coeff", "sites", "phase"), "a term")
     if not isinstance(term["sites"], list):
         raise TypeError("term sites must be a list")
     return _scalar(term["coeff"], exact), [_coord(s) for s in term["sites"]], term.get("phase", "+1")
@@ -133,6 +141,7 @@ def operator_from_literal(terms, exact: bool) -> Operator:
 def region_from_literal(spec) -> DoubleCone:
     if not isinstance(spec, dict) or not {"t", "i", "j"} <= set(spec):
         raise SchemaError('region literal must be {"t": ..., "i": ..., "j": ...}')
+    _known(spec, ("t", "i", "j"), "a region")
     return _read(spec, lambda s: DoubleCone.span(_integer(s["t"]), _coord(s["i"]), _coord(s["j"])),
                  "region")
 
@@ -184,6 +193,12 @@ _BUNDLED = {"common-cause-demo", "uncorrelated"}
 _ANALYSES = {"correlation", "screening-weight", "enumerate-commuting", "family-residuals",
              "solve-noncommuting", "geometry"}
 _PLOT_POINTS = {"family_grid": 16, "weight_sweep": 41}
+# the keys each object section takes; a plot section's keys are plot names
+_SECTION_KEYS = {"dynamics": [f.name for f in dataclasses.fields(DynamicsParams)],
+                 "enumerate": ["k", "budget", "sector_size"], "family": ["coefficients"],
+                 "solver": [f.name for f in dataclasses.fields(SolverConfig)], "plots": _PLOT_POINTS}
+_SCENARIO_KEYS = ["mode", "seed", "events", "weights", "analyses", "window", "geometry",
+                  "partition", "report", *_SECTION_KEYS]
 _EXACT_FAMILY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
                  ["3/5", "4/5", "0"], ["3/5", "0", "4/5"], ["0", "3/5", "4/5"]]
 
@@ -191,11 +206,7 @@ _EXACT_FAMILY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
 def load_scenario(path_or_name: str):
     """The parsed JSON of a bundled scenario or a scenario file."""
     if path_or_name in _BUNDLED:
-        text = (
-            resources.files("isingccp")
-            .joinpath(f"scenarios/{path_or_name}.json")
-            .read_text()
-        )
+        text = resources.files("isingccp").joinpath(f"scenarios/{path_or_name}.json").read_text()
     else:
         try:
             with open(path_or_name, "r", encoding="utf-8") as fh:
@@ -249,7 +260,7 @@ def _section(raw: dict, name: str, default=None, kind=dict):
     value = raw.get(name, kind() if default is None else default)
     if not isinstance(value, kind):
         raise SchemaError(f"{name} must be {'an object' if kind is dict else 'a list'}")
-    return value
+    return _known(value, _SECTION_KEYS[name], name) if name in _SECTION_KEYS else value
 
 
 def _dynamics(d) -> DynamicsParams:
@@ -261,11 +272,10 @@ def _event(spec, exact: bool) -> tuple:
     """(surface operator, time); a site event is (1 + U_site)/2."""
     if not isinstance(spec, dict) or not {"site", "terms"} & set(spec):
         raise SchemaError('an event is {"site": ..., "time": ...} or {"terms": [...], "time": ...}')
+    _known(spec, ("site", "terms", "time"), "an event")
     t = _read(spec.get("time", 1 if "site" in spec else 0), _natural, "event time")
-    if "site" in spec:
-        terms = [{"coeff": "1/2", "sites": []}, {"coeff": "1/2", "sites": [spec["site"]]}]
-    else:
-        terms = spec["terms"]
+    terms = ([{"coeff": "1/2", "sites": []}, {"coeff": "1/2", "sites": [spec["site"]]}]
+             if "site" in spec else spec["terms"])
     return operator_from_literal(terms, exact), t
 
 
@@ -318,6 +328,7 @@ def _solver(cfg: dict, seed: int) -> SolverConfig:
 def _pasts_query(query) -> tuple:
     if not isinstance(query, dict) or query.get("op") != "pasts":
         raise SchemaError(f"unknown geometry query {query!r}")
+    _known(query, ("op", "a", "b", "mode", "contains"), "a pasts query")
     if not {"a", "b"} <= set(query):
         raise SchemaError('a pasts query needs cones "a" and "b"')
     mode = query.get("mode", "common")
@@ -328,8 +339,9 @@ def _pasts_query(query) -> tuple:
 
 
 def _plot(name: str, cfg) -> tuple:
-    if name not in _PLOT_POINTS or not isinstance(cfg, dict) or not isinstance(cfg.get("path", ""), str):
-        raise ValueError('plots are "family_grid" and "weight_sweep", each {"n": ..., "path": ...}')
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("path", ""), str):
+        raise ValueError('a plot is {"n": ..., "path": ...}')
+    _known(cfg, ("n", "path"), f"plot {name}")
     return _natural(cfg.get("n", _PLOT_POINTS[name]), 1), cfg.get("path", f"{name}.csv")
 
 
@@ -340,6 +352,7 @@ def parse_scenario(raw) -> Scenario:
     """
     if not isinstance(raw, dict):
         raise SchemaError("scenario must be a JSON object")
+    _known(raw, _SCENARIO_KEYS, "the scenario")
     mode = raw.get("mode", "exact")
     if mode not in ("exact", "float"):
         raise SchemaError('mode must be "exact" or "float"')
@@ -348,6 +361,7 @@ def parse_scenario(raw) -> Scenario:
     events = raw.get("events")
     if not isinstance(events, dict) or not {"A", "B"} <= set(events):
         raise SchemaError("scenario needs events A and B")
+    _known(events, ("A", "B"), "events")
     weights = raw.get("weights")
     if not isinstance(weights, dict) or set(weights) != set(SECTORS):
         raise SchemaError(f"weights must carry exactly the sector keys {list(SECTORS)}")

@@ -13,8 +13,8 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-# the work an enumeration (rank profiles), a search (objective evaluations and
-# basis matrix entries) or an evolution (monomial pairs) may do before it gives up
+# the work an enumeration (rank profiles), a search (objective evaluations and basis
+# matrix entries), an evolution or a state (monomial pairs) may do before it gives up
 DEFAULT_BUDGET = 5_000_000
 
 

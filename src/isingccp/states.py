@@ -33,7 +33,7 @@ from .algebra import (
     qubit_range,
     support_interval,
 )
-from .errors import ModeError, PreconditionError
+from .errors import DEFAULT_BUDGET, BudgetError, ModeError, PreconditionError
 from .exact import ExactScalar, coerce, zero
 from .halfint import to_double
 
@@ -182,11 +182,16 @@ def build_lambda_state(a: Operator, b: Operator, weights, tol: float = DEFAULT_T
 
     ``weights`` maps the sector labels "AB", "ApBp", "ABp", "ApB" to strictly
     positive scalars summing to one (ExactScalar/Fraction in exact mode,
-    floats otherwise).
+    floats otherwise).  If its largest product, (1 - A)(1 - B), may multiply
+    more than ``DEFAULT_BUDGET`` pairs of monomials, it raises
+    :class:`~isingccp.errors.BudgetError` before forming any product.
     """
     if a.exact != b.exact:
         raise ModeError("events mix exact and float modes")
     exact = a.exact
+    pairs = (max(len(a), len(b)) + 1) ** 2
+    if pairs > DEFAULT_BUDGET:
+        raise BudgetError(f"the state's products may multiply {pairs} monomial pairs, over {DEFAULT_BUDGET}")
     if not is_projection(a, tol) or not is_projection(b, tol):
         raise PreconditionError("both events must be projections")
     if not commutes(a, b, tol):

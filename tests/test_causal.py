@@ -224,6 +224,11 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def _trivial_profile(cells):
+    return all(any(all(cell[p] == 0 for p in range(4) if p not in inside)
+                   for inside in _EVENT_SECTORS.values()) for cell in cells)
+
+
 def _reference_enumeration(weights, m, k):
     """Every rank profile in product-of-compositions order, one exact decision per cell."""
     checked, satisfying = 0, []
@@ -231,12 +236,7 @@ def _reference_enumeration(weights, m, k):
         checked += 1
         cells = tuple(tuple(split[j] for split in splits) for j in range(k))
         if all(exact_wccp_decision(weights, m, cell) for cell in cells):
-            trivial = all(
-                any(all(cell[p] == 0 for p in range(4) if p not in inside)
-                    for inside in _EVENT_SECTORS.values())
-                for cell in cells
-            )
-            satisfying.append((cells, trivial))
+            satisfying.append((cells, _trivial_profile(cells)))
     return EnumerationResult(checked, satisfying, [c for c, trivial in satisfying if not trivial])
 
 
@@ -273,13 +273,48 @@ def _enumeration_cases(draw):
     return weights, m, k
 
 
+def _real_and_positive(weights):
+    return all(complex(w).imag == 0 and complex(w).real > 0 for w in weights)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_enumeration_cases())
 def test_enumeration_matches_the_per_profile_reference(case):
     weights, m, k = case
+    assume(_real_and_positive(weights))
     result = enumerate_commuting_tuples(weights, m, k)
     assume(result.checked <= 1500)
     assert result == _reference_enumeration(weights, m, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_enumeration_cases())
+def test_weights_not_real_and_positive_are_refused_by_both_deciders(case):
+    # with P = Q = 0 every profile would satisfy the equations
+    weights, m, k = case
+    assume(not _real_and_positive(weights))
+    with pytest.raises(PreconditionError, match="real and positive"):
+        enumerate_commuting_tuples(weights, m, k)
+    with pytest.raises(PreconditionError, match="real and positive"):
+        exact_wccp_decision(weights, m, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("m, k", [((4,) * 4, 3), ((8,) * 4, 2)])
+def test_irrational_weights_are_screened_off_by_exactly_the_trivial_profiles(pi_offset_weights, m, k):
+    # with P/Q irrational a cell passes iff r_AB r_A'B' = 0 and r_AB' r_A'B = 0,
+    # which are the four triviality conditions; checked here over every profile
+    profiles = [tuple(zip(*splits)) for splits in product(*(_compositions(mv, k) for mv in m))]
+    trivial = [cells for cells in profiles if _trivial_profile(cells)]
+    result = enumerate_commuting_tuples(pi_offset_weights, m, k)
+    assert result.checked == len(profiles)
+    assert result.satisfying == [(cells, True) for cells in trivial]
+    assert result.nontrivial == []
+
+
+def test_irrational_weights_on_sector_size_sixteen(pi_offset_weights):
+    result = enumerate_commuting_tuples(pi_offset_weights, (16,) * 4, 3, budget=10**9)
+    assert result.checked == 153 ** 4
+    assert (result.n_satisfying, result.n_nontrivial) == (9216, 0)
 
 
 # -- the weight formula ----------------------------------------------------------------

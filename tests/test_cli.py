@@ -96,6 +96,14 @@ def test_enumerate_budget_of_zero_is_well_formed_and_admits_nothing():
     assert code == 3
 
 
+def test_enumerate_with_zero_weights_is_precondition_error_at_once(capsys):
+    # with P = Q = 0 every one of the 45^4 profiles would satisfy the equations
+    start = time.perf_counter()
+    assert run_cli("ccp", "enumerate", "--weights", "0,0,0,0", "--m", "8", "--k", "3") == 4
+    assert time.perf_counter() - start < 5
+    assert "real and positive" in capsys.readouterr().err
+
+
 def test_enumerate_malformed_sector_sizes_is_schema_error(capsys):
     code = run_cli("ccp", "enumerate", "--weights", "1/4,1/4,1/4,1/4", "--m", "x", "--k", "2")
     assert code == 2
@@ -183,6 +191,21 @@ def test_an_event_evolved_past_the_budget_exits_3(tmp_path, capsys):
 
 def test_an_event_evolved_three_steps_stays_within_the_budget(tmp_path):
     scenario = {**_GENERIC, "events": {"A": {"site": "0", "time": 3}, "B": {"site": "10", "time": 1}}}
+    assert _run_file(tmp_path, scenario) == 0
+
+
+def test_a_state_over_the_product_budget_exits_3(tmp_path, capsys):
+    # (1 + U_0 U_1)/2 evolved three steps has 4,608 terms: its square alone
+    # multiplies 21,233,664 pairs of monomials
+    pair = {"terms": [{"coeff": "1/2", "sites": []}, {"coeff": "1/2", "sites": ["0", "1"]}], "time": 3}
+    scenario = {**_GENERIC, "events": {"A": pair, "B": {"site": "10", "time": 1}}}
+    assert _run_file(tmp_path, scenario) == 3
+    assert "monomial pairs" in capsys.readouterr().err
+
+
+def test_two_site_events_evolved_three_steps_build_a_state(tmp_path):
+    # 1,152 terms each: at most 1,329,409 pairs per product
+    scenario = {**_GENERIC, "events": {"A": {"site": "0", "time": 3}, "B": {"site": "1", "time": 3}}}
     assert _run_file(tmp_path, scenario) == 0
 
 
@@ -390,6 +413,30 @@ _INTEGER_SETTINGS = [("seed",), ("dynamics", "eta1"), ("dynamics", "eta2"), ("en
 @pytest.mark.parametrize("value", [True, 1.5, 2.0, "1"], ids=repr)
 def test_integer_settings_take_json_integers_only(tmp_path, path, value):
     assert _exit_code_with(tmp_path, path, value) == 2
+
+
+_UNKNOWN_KEYS = [
+    (("enumerat",), {"k": 3}),
+    (("dynamics", "theta"), "0"),
+    (("events", "C"), {"site": "2"}),
+    (("events", "A", "tme"), 2),
+    (("events", "B", "terms", 0, "phse"), "+1"),
+    (("enumerate", "kk"), 3),
+    (("family", "coefficient"), [["1", "0", "0"]]),
+    (("window", "tt"), 1),
+    (("solver", "restart"), 1),
+    (("geometry", 0, "contain"), "0,0"),
+    (("geometry", 0, "contains", "s"), 1),
+    (("plots", "weight_swep"), {"n": 2}),
+    (("plots", "weight_sweep", "paht"), "sweep.csv"),
+]
+
+
+@pytest.mark.parametrize("path, value", _UNKNOWN_KEYS, ids=["/".join(map(str, p)) for p, _ in _UNKNOWN_KEYS])
+def test_an_unknown_key_is_schema_error(tmp_path, capsys, path, value):
+    # a misspelt key would otherwise read as absent and take its default
+    assert _exit_code_with(tmp_path, path, value) == 2
+    assert f"unknown keys ['{path[-1]}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []], ids=repr)
