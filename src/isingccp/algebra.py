@@ -237,9 +237,16 @@ def _float_product(a: _Arrays, b: _Arrays) -> _Arrays:
     seen so far and their running sums lead the next block, so each sum goes on
     in the same order.  A running sum that starts at 0.0 is never -0.0, so
     carrying it loses no bit.
+
+    When the product spans several blocks and no bit is set in keys of both
+    factors, every pair makes its own key, so the keys come in row-major order
+    and each sum is the single ``0.0 + x``; the blocks are then only gathered.
     """
     keys = None
     rows = max(1, _BLOCK_PAIRS // len(b.keys))
+    disjoint = rows < len(a.keys) and not (
+        np.bitwise_or.reduce(a.keys) & np.bitwise_or.reduce(b.keys))
+    blocks = []
     for r in range(0, len(a.keys), rows):
         xk, xr, xi = a.keys[r:r + rows], a.re[r:r + rows], a.im[r:r + rows]
         # numpy loops fastest along the last axis, so the longer side of the
@@ -262,12 +269,17 @@ def _float_product(a: _Arrays, b: _Arrays) -> _Arrays:
         if flip:
             pairs, pr, pi = pairs.T, pr.T, pi.T
         pairs, pr, pi = pairs.ravel(), pr.ravel(), pi.ravel()
+        if disjoint:  # adding to 0.0 turns -0.0 into 0.0, as bincount does
+            blocks.append((pairs, pr + 0.0, pi + 0.0))
+            continue
         if keys is not None:
             pairs = np.concatenate((keys, pairs))
             pr, pi = np.concatenate((re, pr)), np.concatenate((im, pi))
         keys, slot = _group(pairs, a.width)
         re = np.bincount(slot, pr, len(keys))
         im = np.bincount(slot, pi, len(keys))
+    if disjoint:
+        keys, re, im = (np.concatenate(part) for part in zip(*blocks))
     return _nonzero(keys, re, im, a.low, a.width)
 
 

@@ -224,20 +224,26 @@ def classical_ccs_check(space: ProbabilitySpace, a, b, partition, tol: float = 1
 
 
 def _cell_triviality(cell: Operator, state: LambdaState, tol: float) -> tuple:
-    events = (state.a, state.a_perp, state.b, state.b_perp)
-    return tuple(lab for lab, x in zip(_TRIVIALITY_LABELS, events)
-                 if (cell * x - cell).is_close_to_zero(tol))
+    """The events among A, A', B, B' that the cell lies below, from C A and C B:
+    C <= X iff C X = C, and C (1 - X) = C iff C X = 0."""
+    below = []
+    for x in (state.a, state.b):
+        cx = cell * x
+        below += ((cx - cell).is_close_to_zero(tol), cx.is_close_to_zero(tol))
+    return tuple(lab for lab, hit in zip(_TRIVIALITY_LABELS, below) if hit)
 
 
 def _ccs_report(mode: str, state: LambdaState, partition, tol: float, condition) -> CcsReport:
     """Per-cell residuals w_AB w_A'B' - w_AB' w_A'B of the conditioned sector
-    values phi(condition(P C)), P running over the four sectors."""
+    values phi(condition(P C)), P running over the four sectors.  The sectors
+    sum to 1 and the conditioning keeps each cell, so the four values sum to
+    the cell's weight phi(C)."""
     reports = []
     for k, c in enumerate(partition):
         v = [state.evaluate(condition(state.sectors[label] * c)) for label in SECTORS]
         residual = v[0] * v[1] - v[2] * v[3]
         dominators = _cell_triviality(c, state, tol)
-        reports.append(CellReport(k, residual, state.evaluate(c), bool(dominators), dominators))
+        reports.append(CellReport(k, residual, v[0] + v[1] + v[2] + v[3], bool(dominators), dominators))
     return CcsReport(
         mode=mode,
         cells=reports,
@@ -268,10 +274,12 @@ def noncommuting_ccs_residuals(
 ) -> CcsReport:
     """Residuals of the noncommuting screening-off condition, cell by cell.
 
-    ``partition`` is a :class:`PartitionOfUnity` or cells the caller has
-    already checked to be one.  Conditioning goes through E(x) = sum C_k x C_k,
-    so the cells need not commute with the events; when they do, this
-    coincides with :func:`commuting_ccs_residuals`."""
+    ``partition`` is a :class:`PartitionOfUnity` or a tuple of cells the
+    caller has already checked to be one: orthogonal projections summing to
+    1.  Each cell's weight is the sum of its four conditioned sector values,
+    which equals phi(C_k) only for such cells.  Conditioning goes through
+    E(x) = sum C_k x C_k, so the cells need not commute with the events; when
+    they do, this coincides with :func:`commuting_ccs_residuals`."""
     return _ccs_report(
         "noncommuting", state, partition, tol, lambda y: conditional_expectation(partition, y)
     )

@@ -27,7 +27,6 @@ from fractions import Fraction
 from .algebra import (
     DEFAULT_TOL,
     Operator,
-    commutes,
     is_projection,
     product_trace,
     qubit_range,
@@ -194,12 +193,13 @@ def build_lambda_state(a: Operator, b: Operator, weights, tol: float = DEFAULT_T
         raise BudgetError(f"the state's products may multiply {pairs} monomial pairs, over {DEFAULT_BUDGET}")
     if not is_projection(a, tol) or not is_projection(b, tol):
         raise PreconditionError("both events must be projections")
-    if not commutes(a, b, tol):
+    ab = a * b
+    if not (ab - b * a).is_close_to_zero(tol):
         raise NoncommutingEventsError("the two events do not commute")
     one = Operator.identity(exact)
     a_perp, b_perp = one - a, one - b
     sectors = {
-        "AB": a * b,
+        "AB": ab,
         "ApBp": a_perp * b_perp,
         "ABp": a * b_perp,
         "ApB": a_perp * b,

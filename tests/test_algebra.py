@@ -387,6 +387,35 @@ def test_float_product_matches_the_pair_loop(x, y, shift, block):
         assert bits((x * y)._terms) == bits(loop_product(x, y))
 
 
+@settings(max_examples=200, deadline=None)
+@given(float_operators(-64, -40), float_operators(-39, -5), st.sampled_from([0, 30]),
+       st.sampled_from([1, 2, 3, 7]), st.booleans())
+def test_disjoint_float_products_take_the_pairs_in_order(x, y, shift, block, swap):
+    # no site lies in both factors, so every pair is its own term; a product
+    # over several blocks gathers them without grouping.  Doubled sites -40
+    # and -39 anticommute, so one of the two orders carries signs.
+    x, y = (y, x) if swap else (x, y)
+    x, y = alpha_shift(x, shift), alpha_shift(y, shift)
+    with patch.object(algebra, "_BLOCK_PAIRS", block), patch.object(algebra, "_ARRAY_WORK", 1), \
+            patch.object(algebra, "_group", wraps=algebra._group) as group:
+        assert bits((x * y)._terms) == bits(loop_product(x, y))
+    if len(x) > block:
+        assert not group.called
+
+
+def test_far_apart_events_multiply_without_grouping():
+    params = DynamicsParams(0.7, 0.4)
+    a = apply_beta(params, half_sum(0), 2)
+    b = apply_beta(params, half_sum(10), 2)
+    one = Operator.identity()
+    pairs = ((a, b), (one - a, one - b), (b, a))
+    with patch.object(algebra, "_BLOCK_PAIRS", 64), \
+            patch.object(algebra, "_group", wraps=algebra._group) as group:
+        for x, y in pairs:
+            assert bits((x * y)._terms) == bits(loop_product(x, y))
+    assert not group.called
+
+
 @st.composite
 def mixed_operators(draw):
     """Float operators for every path of the float arithmetic: keys spanning 8

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -6,9 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from isingccp import causal, states
 from isingccp import (
+    DEFAULT_TOL,
+    SECTORS,
     BudgetError,
     DoubleCone,
+    DynamicsParams,
     EXACT_I,
     EnumerationResult,
     ExactScalar,
@@ -17,11 +22,13 @@ from isingccp import (
     PartitionOfUnity,
     PreconditionError,
     ProbabilitySpace,
+    apply_beta,
     build_lambda_state,
     classical_ccs_check,
     common_cause_candidate,
     commuting_ccs_residuals,
     conditional_expectation,
+    correlation,
     enumerate_commuting_tuples,
     exact_wccp_decision,
     is_projection,
@@ -529,3 +536,83 @@ def test_density_identity_for_random_partitions(state_float):
             ).real
             mat = np.trace(to_matrix(state_float.sectors[label], win) @ c_mat @ rho @ c_mat).real
             assert abs(sym - mat) < 1e-12
+
+
+# -- what a cell report reuses ----------------------------------------------------------
+
+
+def _triviality_reference(cell, state, tol=DEFAULT_TOL):
+    """The events the cell lies below, by the definition: C X = C."""
+    events = (state.a, state.a_perp, state.b, state.b_perp)
+    return tuple(lab for lab, x in zip(("A", "A'", "B", "B'"), events)
+                 if (cell * x - cell).is_close_to_zero(tol))
+
+
+def _unit_triple(p, q):
+    """A rational point of the unit sphere, by inverse stereographic projection."""
+    n = p * p + q * q + 1
+    return 2 * p / n, 2 * q / n, (p * p + q * q - 1) / n
+
+
+_coords = st.fractions(-3, 3, max_denominator=4)
+_angles = st.floats(0.15, 1.35) | st.floats(-1.35, -0.15)
+_PARTITIONS = ("family", "A", "B", "diagonal", "sectors")
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact=st.booleans(), angles=st.tuples(_angles, _angles),
+       counts=st.lists(st.integers(1, 9), min_size=4, max_size=4),
+       pq=st.tuples(_coords, _coords), kind=st.sampled_from(_PARTITIONS), commuting=st.booleans())
+def test_cell_reports_reuse_the_sector_values(events_exact, exact, angles, counts, pq, kind, commuting):
+    # exact family triples at theta = 0 and float states at generic angles;
+    # every partition but the family commutes with both events
+    if exact:
+        a, b = events_exact
+        weights = {k: ExactScalar(F(n, sum(counts))) for k, n in zip(SECTORS, counts)}
+        triple = _unit_triple(*pq)
+    else:
+        params = DynamicsParams(*angles)
+        a, b = (apply_beta(params, half_sum(site), 1) for site in (0, 1))
+        weights = {k: n / sum(counts) for k, n in zip(SECTORS, counts)}
+        triple = tuple(float(v) for v in _unit_triple(*pq))
+    state = build_lambda_state(a, b, weights)
+    one, s = Operator.identity(exact), state.sectors
+    c, diag = common_cause_candidate(*triple, exact=exact), s["AB"] + s["ApBp"]
+    cells = {"family": (c, one - c), "A": (state.a, state.a_perp), "B": (state.b, state.b_perp),
+             "diagonal": (diag, one - diag), "sectors": tuple(s[k] for k in SECTORS)}[kind]
+    if commuting and kind != "family":
+        report = commuting_ccs_residuals(state, PartitionOfUnity(cells))
+    else:
+        report = noncommuting_ccs_residuals(state, cells)
+    for cell, report_cell in zip(cells, report.cells):
+        expected = _triviality_reference(cell, state)
+        assert causal._cell_triviality(cell, state, DEFAULT_TOL) == expected
+        assert report_cell.trivial_under == expected
+        weight = state.evaluate(cell)
+        if exact:
+            assert report_cell.weight == weight
+        else:
+            assert abs(report_cell.weight - weight) <= 1e-12
+
+
+def test_a_two_cell_check_counts_its_products(state_float, monkeypatch):
+    c = common_cause_candidate(0.6, 0.8, 0.0)
+    cells = (c, Operator.identity() - c)
+    correlation(state_float)  # computed once per state; not part of the count
+    counts = Counter()
+    mul, trace = Operator.__mul__, states.product_trace
+
+    def counted_mul(x, y):
+        counts["products"] += isinstance(y, Operator)
+        return mul(x, y)
+
+    def counted_trace(x, y):
+        counts["traces"] += 1
+        return trace(x, y)
+
+    monkeypatch.setattr(Operator, "__mul__", counted_mul)
+    monkeypatch.setattr(states, "product_trace", counted_trace)
+    noncommuting_ccs_residuals(state_float, cells)
+    # per cell: the four P C, the two products of each C_j (P C) C_j in the
+    # four E(P C), and C A, C B; four sector values of four traces each
+    assert counts == {"products": 2 * (4 + 16 + 2), "traces": 2 * 4 * 4}
