@@ -27,8 +27,8 @@ Internally a monomial is an ``int`` bitmask with bit ``d + 64`` set for each
 doubled site ``d`` present, the symplectic Pauli-frame encoding of Aaronson
 and Gottesman (quant-ph/0406196) applied to this chain.  One rule then
 serves the products, the adjoints and traces, and the qubit oracle.  Sites
-must lie at or above -32 (doubled -64); lower sites raise
-:class:`~isingccp.errors.PreconditionError`.  There is no upper limit.
+must lie between -32 and 12000 (doubled -64 and 24000), so a key holds at
+most 24,065 bits; other sites raise :class:`~isingccp.errors.PreconditionError`.
 """
 
 from __future__ import annotations
@@ -64,13 +64,18 @@ _PHASE_VALUES = {0: 1, 1: 1j, 2: -1, 3: -1j}
 
 # Bit of doubled site 0.  Even, so a bit's parity is its site's parity.
 _ORIGIN = 64
+# The highest doubled site.  It leaves site 10000 room for its images under
+# evolution, and a window up to it has sector sizes below 2**12033, short
+# enough for ``str`` (4,300 digits).
+_TOP = 24_000
 
 
 def _bit(d: int) -> int:
     """Key of the generator at doubled site d."""
-    if d < -_ORIGIN:
+    if not -_ORIGIN <= d <= _TOP:
+        # no echo of d: a far-out site has more digits than ``str`` converts
         raise PreconditionError(
-            f"site {double_str(d)} lies below the lowest encodable site {double_str(-_ORIGIN)}"
+            f"sites must lie between {double_str(-_ORIGIN)} and {double_str(_TOP)}"
         )
     return 1 << (d + _ORIGIN)
 

@@ -30,7 +30,7 @@ from itertools import combinations, product as iter_product
 from typing import NamedTuple
 
 from .algebra import DEFAULT_TOL, Operator, commutes
-from .errors import DEFAULT_BUDGET, BudgetError, ExactnessError, ModeError, PreconditionError
+from .errors import DEFAULT_BUDGET, ExactnessError, ModeError, PreconditionError, check_budget
 from .exact import ExactScalar, coerce, is_zero
 from .states import (
     SECTORS,
@@ -388,7 +388,9 @@ def enumerate_commuting_tuples(weights, m, k_size: int, budget: int = DEFAULT_BU
     with the halves whose tuple equals its own of left sides.  The satisfying
     profiles come out sector-major, in lexicographic order of the rank splits.
     ``checked`` is the closed-form number of profiles,
-    prod_P C(m_P + k - 1, k - 1), and the budget caps it.  The index holds
+    prod_P C(m_P + k - 1, k - 1), and the budget caps it.  For k >= 2 each
+    factor is at least m_P + k - 1, so the largest such sum is bounded
+    first, before any binomial is formed.  The index holds
     |splits_AB'| * |splits_A'B| entries, at most checked / 4 for k >= 2; when
     that half is the large one, as for m = (1, 1, 600, 600), it costs most.
     """
@@ -396,9 +398,10 @@ def enumerate_commuting_tuples(weights, m, k_size: int, budget: int = DEFAULT_BU
     m = _sector_sizes(m)
     if k_size < 1:
         raise PreconditionError("partition size must be at least 1")
+    if k_size > 1:
+        check_budget(max(m) + k_size - 1, "rank profiles, a lower bound from the largest sector", budget)
     count = math.prod(math.comb(mv + k_size - 1, k_size - 1) for mv in m)
-    if count > budget:
-        raise BudgetError(f"enumeration needs {count} rank profiles, over the budget of {budget}")
+    check_budget(count, "rank profiles", budget)
     a, b = _cell_ratio(w)
     splits = [_compositions(mv, k_size) for mv in m]
     index = {}

@@ -215,7 +215,7 @@ def load_scenario(path_or_name: str):
             raise SchemaError(f"cannot read scenario {path_or_name!r}: {exc}") from exc
     try:
         return json.loads(text, object_pairs_hook=_interned)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
 
 
@@ -301,14 +301,17 @@ def _family(cfg: dict, exact: bool, seed: int) -> tuple:
 
 
 def _family_entry(value, exact: bool):
-    """A fraction or decimal string, a JSON integer, or in float mode a JSON
-    number; a bool, and a JSON float in exact mode, are rejected, not converted."""
+    """A fraction or decimal string, a JSON integer, or in float mode a finite
+    JSON number; a bool, and a JSON float in exact mode, are rejected, not converted."""
     if isinstance(value, bool) or (exact and isinstance(value, float)):
         raise TypeError("a family coefficient is a fraction string or an integer "
                         f"(or a number in float mode), not {value!r}")
     if exact:
         return Fraction(value)
-    return float(Fraction(value)) if isinstance(value, str) else float(value)
+    value = float(Fraction(value)) if isinstance(value, str) else float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"a family coefficient is finite, not {value!r}")
+    return value
 
 
 def _solver(cfg: dict, seed: int) -> SolverConfig:
@@ -321,7 +324,6 @@ def _solver(cfg: dict, seed: int) -> SolverConfig:
         tol=_tolerance(cfg.get("tol", default.tol)),
         rank=None if rank is None else _integer(rank),
         commuting_constraint=_boolean(cfg.get("commuting_constraint", default.commuting_constraint)),
-        max_window_qubits=_natural(cfg.get("max_window_qubits", default.max_window_qubits)),
     )
 
 

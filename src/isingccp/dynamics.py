@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Operator, support_interval
-from .errors import DEFAULT_BUDGET, BudgetError, ExactnessError, PreconditionError, SchemaError
+from .errors import ExactnessError, PreconditionError, SchemaError, check_budget
 from .exact import ExactScalar, is_zero
 from .halfint import from_double, to_double
 
@@ -158,9 +158,7 @@ def apply_beta(params: DynamicsParams, x: Operator, t: int) -> Operator:
             for s in sites:
                 image = _generator_image(params, s, x.exact)
                 pairs += len(term) * len(image)
-                if pairs > DEFAULT_BUDGET:
-                    raise BudgetError(f"evolving by {t} steps multiplies over {DEFAULT_BUDGET}"
-                                      " monomial pairs, the budget")
+                check_budget(pairs, "monomial pairs to evolve an operator")
                 term = term * image
             acc = acc + term.scaled(coeff)
         out = acc

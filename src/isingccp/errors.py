@@ -11,6 +11,7 @@ __all__ = [
     "ModeError",
     "ExactnessError",
     "DEFAULT_BUDGET",
+    "check_budget",
 ]
 
 # the work an enumeration (rank profiles), a search (objective evaluations and basis
@@ -36,3 +37,16 @@ class ModeError(TypeError):
 
 class ExactnessError(ModeError):
     """A value required in exact mode is not representable in Q[pi]."""
+
+
+def check_budget(work: int, what: str, limit: int = DEFAULT_BUDGET) -> None:
+    """Raise :class:`BudgetError` if ``work`` units of ``what`` exceed ``limit``.
+
+    Every gate calls this before the work it bounds.  The message is formatted
+    only when it raises, so a gate may call it once per product, and a count
+    past 2**64 shows as a power of two: its digits could pass what ``str`` converts.
+    """
+    if work > limit:
+        work, limit = (str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
+                       for n in (work, limit))
+        raise BudgetError(f"{work} {what}, over the budget of {limit}")

@@ -93,19 +93,6 @@ class DoubleCone:
     def sites(self) -> list[int]:
         return list(range(self.i2, self.j2 + 1))
 
-    def contained_cones(self) -> list[DoubleCone]:
-        """All lattice minimal cones lying inside the open diamond."""
-        out = []
-        for u2 in range(self.u_lo2 + 1, self.u_hi2):
-            if u2 % 2 != 0:
-                continue
-            for v2 in range(self.v_lo2 + 1, self.v_hi2):
-                if v2 % 2 != 0:
-                    continue
-                x2 = (v2 - u2) // 2
-                out.append(DoubleCone((u2 + v2) // 4, x2, x2))
-        return out
-
     def translated(self, dt: int, dx: int) -> "DoubleCone":
         return DoubleCone(self.t + dt, self.i2 + 2 * dx, self.j2 + 2 * dx)
 
@@ -205,6 +192,8 @@ def pasts(a: DoubleCone, b: DoubleCone, mode: str) -> Region:
     weak   = I_-(a) union I_-(b)
     common = I_-(a) intersect I_-(b)
     strong = intersection of I_-(m) over all minimal cones m inside a or b
+           = the past wedge at (min u_lo2 + 2, min v_lo2 + 2): the lowest centre
+             of a minimal cone inside a diamond is (u_lo2 + 1, v_lo2 + 1)
     """
     pa, pb = (a.u_hi2, a.v_hi2), (b.u_hi2, b.v_hi2)
     if mode == "weak":
@@ -212,8 +201,5 @@ def pasts(a: DoubleCone, b: DoubleCone, mode: str) -> Region:
     if mode == "common":
         return Region.past({(min(pa[0], pb[0]), min(pa[1], pb[1]))})
     if mode == "strong":
-        cones = a.contained_cones() + b.contained_cones()
-        u = min(m.u_hi2 for m in cones)
-        v = min(m.v_hi2 for m in cones)
-        return Region.past({(u, v)})
+        return Region.past({(min(a.u_lo2, b.u_lo2) + 2, min(a.v_lo2, b.v_lo2) + 2)})
     raise SchemaError(f"unknown past mode {mode!r}; use weak, common or strong")

@@ -47,7 +47,7 @@ from .algebra import (
     window_monomials,
 )
 from .causal import noncommuting_ccs_residuals
-from .errors import DEFAULT_BUDGET, BudgetError, PreconditionError
+from .errors import PreconditionError, check_budget
 from .geometry import PAST_MODES, DoubleCone, pasts
 from .halfint import double_str, from_double, to_double
 from .states import SECTORS, LambdaState
@@ -56,6 +56,8 @@ __all__ = ["SolverConfig", "Candidate", "solve_noncommuting_cc"]
 
 # weight of the commutator norms against the residuals under the commuting constraint
 _PENALTY = 3.0
+# the most qubits the matrix window (the search window and both events) may span
+_MAX_WINDOW_QUBITS = 10
 # least_squares stops on a gradient entry, a relative step or a relative cost
 # drop below this
 _TOL = 1e-15
@@ -76,8 +78,9 @@ class SolverConfig:
     restart, for the ``n = 2**s - 1`` basis monomials of a window of ``s``
     half-integer sites.  One restart makes at most ``max_iters * n``
     objective evaluations and at most as many Jacobians.  A search whose
-    bound ``restarts * max_iters * n``, or whose basis of ``n`` dense
-    ``dim x dim`` matrices, exceeds ``errors.DEFAULT_BUDGET`` is refused with
+    matrix window spans more than 10 qubits, or whose bound
+    ``restarts * max_iters * n``, or whose basis of ``n`` dense ``dim x dim``
+    matrices, exceeds ``errors.DEFAULT_BUDGET`` is refused with
     :class:`~isingccp.errors.BudgetError` before any basis matrix is built.
     """
 
@@ -87,7 +90,6 @@ class SolverConfig:
     tol: float = 1e-8
     rank: int | None = None
     commuting_constraint: bool = False
-    max_window_qubits: int = 10
 
 
 @dataclass
@@ -217,30 +219,20 @@ class _Objective:
         if window.t != 0:
             raise PreconditionError("the search window must sit on the Cauchy surface (t = 0)")
         self.fstate, self.cfg = fstate, cfg
+        lo, hi = fstate.window()
+        lo, hi = min(lo, window.i2), max(hi, window.j2)
+        qubits = qubit_range((lo, hi))
+        n_full = qubits.stop - qubits.start  # len() overflows on a far-out window
+        check_budget(n_full, "qubits in the search's matrix window", _MAX_WINDOW_QUBITS)
         self.sites = sites = window.sites()
         self.a_loc, self.b_loc = localization(fstate.a), localization(fstate.b)
-        lo, hi = fstate.window()
-        lo, hi = min(lo, sites[0]), max(hi, sites[-1])
         self.mat_win = (from_double(lo), from_double(hi))
 
-        n_full = len(qubit_range((lo, hi)))
-        if n_full > cfg.max_window_qubits:
-            raise BudgetError(
-                f"matrix window needs {n_full} qubits, over the budget of {cfg.max_window_qubits}"
-            )
         n = 2 ** len(sites) - 1  # the basis monomials, identity excluded
-        evaluations = cfg.restarts * cfg.max_iters * n
-        if evaluations > DEFAULT_BUDGET:
-            raise BudgetError(
-                f"the search may make {evaluations} objective evaluations ({cfg.restarts} restarts"
-                f" x {cfg.max_iters} x {n}), over the budget of {DEFAULT_BUDGET}"
-            )
+        check_budget(cfg.restarts * cfg.max_iters * n,
+                     "objective evaluations (restarts x max_iters x basis monomials)")
         self.dim = dim = 2 ** n_full
-        if n * dim * dim > DEFAULT_BUDGET:
-            raise BudgetError(
-                f"the search basis needs {n * dim * dim} matrix entries ({n} monomials"
-                f" x {dim} x {dim}), over the budget of {DEFAULT_BUDGET}"
-            )
+        check_budget(n * dim * dim, f"basis matrix entries ({n} monomials x {dim} x {dim})")
         # the Hermitian basis of the window algebra (identity excluded): a
         # monomial, or i times it when its adjoint is minus itself
         self.words = [(word, "+1" if sign > 0 else "+i") for word, sign in window_monomials(sites)]

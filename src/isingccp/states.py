@@ -32,7 +32,7 @@ from .algebra import (
     qubit_range,
     support_interval,
 )
-from .errors import DEFAULT_BUDGET, BudgetError, ModeError, PreconditionError
+from .errors import ModeError, PreconditionError, check_budget
 from .exact import ExactScalar, coerce, zero
 from .halfint import to_double
 
@@ -188,9 +188,7 @@ def build_lambda_state(a: Operator, b: Operator, weights, tol: float = DEFAULT_T
     if a.exact != b.exact:
         raise ModeError("events mix exact and float modes")
     exact = a.exact
-    pairs = (max(len(a), len(b)) + 1) ** 2
-    if pairs > DEFAULT_BUDGET:
-        raise BudgetError(f"the state's products may multiply {pairs} monomial pairs, over {DEFAULT_BUDGET}")
+    check_budget((max(len(a), len(b)) + 1) ** 2, "monomial pairs in the state's largest product")
     if not is_projection(a, tol) or not is_projection(b, tol):
         raise PreconditionError("both events must be projections")
     ab = a * b

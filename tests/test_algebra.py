@@ -252,6 +252,17 @@ def test_sites_below_the_encoding_limit_are_rejected():
         alpha_shift(half_sum(HALF), -33)
 
 
+def test_sites_above_the_encoding_limit_are_rejected():
+    highest = Operator.generator(12000)
+    assert support_interval(highest) == (12000, 12000)
+    assert alpha_shift(Operator.generator(0), 12000) == highest
+    for site in (Fraction(24001, 2), 10 ** 30):
+        with pytest.raises(PreconditionError, match="between -32 and 12000"):
+            Operator.generator(site)
+    with pytest.raises(PreconditionError):
+        alpha_shift(highest, 1)
+
+
 def test_oracle_relations():
     win = (0, 2)
     sites = [0, HALF, 1, Fraction(3, 2), 2]

@@ -209,6 +209,65 @@ def test_two_site_events_evolved_three_steps_build_a_state(tmp_path):
     assert _run_file(tmp_path, scenario) == 0
 
 
+def _timed_exit(*argv):
+    """The exit code of ``run_cli(*argv)``, asserted to come within 1 s."""
+    start = time.perf_counter()
+    code = run_cli(*argv)
+    assert time.perf_counter() - start < 1
+    return code
+
+
+def _demo_file(tmp_path, **changes):
+    scenario = {**load_scenario("common-cause-demo"), **changes}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def test_a_far_out_event_exits_3_from_the_enumeration_budget(tmp_path, capsys):
+    # sector sizes of about 2^10000: the profile count's digits would pass
+    # what str converts, so the gate bounds the sectors before the binomials
+    events = {"A": {"site": "10000", "time": 1}, "B": {"site": "1", "time": 1}}
+    path = _demo_file(tmp_path, events=events, analyses=["enumerate-commuting"])
+    assert _timed_exit("run", path) == 3
+    assert "rank profiles" in capsys.readouterr().err
+
+
+def test_a_search_window_of_2_to_the_70_sites_exits_3(tmp_path, capsys):
+    path = _demo_file(tmp_path, window={"t": 0, "i": "0", "j": str(2 ** 70)},
+                      analyses=["solve-noncommuting"])
+    assert _timed_exit("run", path) == 3
+    assert "qubits in the search's matrix window" in capsys.readouterr().err
+
+
+def test_the_strong_past_of_a_cone_2_to_the_70_sites_wide_exits_0(capsys):
+    assert _timed_exit("geom", "pasts", "--mode", "strong", "--a", f"0,0,{2 ** 70}", "--b", "1,1") == 0
+    assert json.loads(capsys.readouterr().out)["region"]["apexes"] == [
+        {"u": f"{1 - 2 ** 71}/2", "v": "1/2"}]
+
+
+def test_a_nan_family_coefficient_is_schema_error(tmp_path):
+    # NaN passes the candidate's norm test, and the report could not be written
+    weights = {"AB": 0.25, "ApBp": 0.25, "ABp": 0.3, "ApB": 0.2}
+    path = _demo_file(tmp_path, mode="float", weights=weights, analyses=["family-residuals"],
+                      family={"coefficients": [[float("nan"), 0, 1]]})
+    assert _timed_exit("run", path) == 2
+
+
+def test_a_json_integer_of_over_4300_digits_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(load_scenario("common-cause-demo")).replace(
+        '"seed": 7', '"seed": ' + "9" * 5000))
+    assert _timed_exit("run", str(path)) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_sites_above_the_encoding_limit_are_refused(tmp_path):
+    assert _timed_exit("dynamics", "beta", "--site", "1e30") == 4
+    events = {"A": {"site": str(10 ** 9), "time": 1}, "B": {"site": "1", "time": 1}}
+    assert _timed_exit("run", _demo_file(tmp_path, events=events)) == 2
+
+
 def test_a_pi_coefficient_in_an_exact_literal_is_schema_error(capsys):
     literal = json.dumps([{"coeff": "pi", "sites": []}, {"coeff": "1/2", "sites": ["0"]}])
     assert run_cli("algebra", "trace", "--exact", "--op-json", literal) == 2
@@ -286,6 +345,9 @@ def test_missing_weights_is_schema_error(tmp_path):
     {"analyses": ["family-residuals"], "family": {"coefficients": [[1e400, 0, 1]]}},
     {"mode": "float", "analyses": ["family-residuals"],
      "family": {"coefficients": [["1e400", "0", "1"]]}},
+    # a family coefficient is finite
+    *({"mode": "float", "analyses": ["family-residuals"], "family": {"coefficients": [[x, 0, 1]]}}
+      for x in (float("inf"), float("-inf"))),
     {"events": {"A": {"site": "x", "time": 1}, "B": {"site": "1", "time": 1}}},
     {"events": {"A": {"site": "0", "time": 1},
                 "B": {"terms": [{"coeff": "1/2", "sites": ["1"]}], "time": "x"}}},
@@ -307,7 +369,6 @@ def test_missing_weights_is_schema_error(tmp_path):
     # sector sizes and plot sizes are at least 1, budgets at least 0
     *({"analyses": ["enumerate-commuting"], "enumerate": {"sector_size": m}} for m in (0, -4)),
     {"analyses": ["enumerate-commuting"], "enumerate": {"budget": -1}},
-    {"analyses": ["solve-noncommuting"], "solver": {"max_window_qubits": -1}},
     *({"plots": {name: {"n": n}}} for name in ("weight_sweep", "family_grid") for n in (0, -2)),
     # a bool is not a number, and a JSON float is not exact
     *({"mode": mode, "dynamics": dyn} for mode in ("float", "exact")
@@ -406,7 +467,7 @@ def test_any_json_value_ends_with_a_documented_exit_code(tmp_path, path, value):
 _INTEGER_SETTINGS = [("seed",), ("dynamics", "eta1"), ("dynamics", "eta2"), ("enumerate", "k"),
                      ("enumerate", "budget"), ("enumerate", "sector_size"), ("solver", "seed"),
                      ("solver", "restarts"), ("solver", "max_iters"), ("solver", "rank"),
-                     ("solver", "max_window_qubits"), ("plots", "weight_sweep", "n")]
+                     ("plots", "weight_sweep", "n")]
 
 
 @pytest.mark.parametrize("path", _INTEGER_SETTINGS, ids="/".join)

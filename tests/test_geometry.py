@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingccp import (
     DoubleCone,
@@ -75,6 +76,21 @@ def test_pasts_of_the_standard_pair():
     assert common.contains_region(strong)
 
 
+def _contained_cones(cone):
+    """All lattice minimal cones inside the open diamond, listed one by one:
+    the reference for the strong past's closed form."""
+    out = []
+    for u2 in range(cone.u_lo2 + 1, cone.u_hi2):
+        if u2 % 2 != 0:
+            continue
+        for v2 in range(cone.v_lo2 + 1, cone.v_hi2):
+            if v2 % 2 != 0:
+                continue
+            x2 = (v2 - u2) // 2
+            out.append(DoubleCone((u2 + v2) // 4, x2, x2))
+    return out
+
+
 def test_double_cone_extent_and_contained_cones():
     shared = DoubleCone.span(0, 0, 1)
     spanning = {DoubleCone.span(0, x, x) for x in (0, Fraction(1, 2), 1)}
@@ -83,10 +99,22 @@ def test_double_cone_extent_and_contained_cones():
         DoubleCone.minimal(Fraction(1, 2), Fraction(1, 2)),
         DoubleCone.minimal(0, 1),
     }
-    assert spanning <= set(shared.contained_cones())
-    assert all(m.i2 == m.j2 for m in shared.contained_cones())
+    assert spanning <= set(_contained_cones(shared))
+    assert all(m.i2 == m.j2 for m in _contained_cones(shared))
     for m in spanning:
-        assert m.contained_cones() == [m]
+        assert _contained_cones(m) == [m]
+
+
+_CONES = st.builds(lambda t, i2, width: DoubleCone(t, i2, i2 + width),
+                   st.integers(-6, 6), st.integers(-12, 12), st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_CONES, b=_CONES)
+def test_the_strong_past_is_the_past_of_every_contained_minimal_cone(a, b):
+    cones = _contained_cones(a) + _contained_cones(b)
+    listed = Region.past({(min(m.u_hi2 for m in cones), min(m.v_hi2 for m in cones))})
+    assert pasts(a, b, "strong") == listed
 
 
 def _random_cone_pair(rng):

@@ -81,9 +81,11 @@ def test_determinism(state_float):
 
 
 def test_window_budget(state_float):
-    cfg = SolverConfig(seed=0, restarts=1, max_window_qubits=3)
-    with pytest.raises(BudgetError):
-        solve_noncommuting_cc(state_float, DoubleCone.span(0, -3, 4), cfg)
+    # 13 qubits: over the 10 a matrix window may span, refused before its sites are listed
+    cfg = SolverConfig(seed=0, restarts=1)
+    with patch.object(DoubleCone, "sites", side_effect=AssertionError("sites were listed")), \
+            pytest.raises(BudgetError, match="13 qubits"):
+        solve_noncommuting_cc(state_float, DoubleCone.span(0, -6, 6), cfg)
 
 
 def test_rank_validation(state_float):
